@@ -7,9 +7,10 @@ where each backend pays off (``meso-counts`` everywhere over ``meso``,
 increasingly so on larger grids; ``meso-events`` pulls further ahead
 the lighter the load, since its calendar skips idle slots entirely;
 ``meso-vec`` runs here as a batch of
-one through its single-replication adapter, so this matrix exposes its
-per-replication overhead — its win, batching many seeds per step, is
-measured by ``bench_batch_scaling.py``) and doubles as a drift alarm:
+one under the batched util-bp kernel, as the runner drives a single
+run of it, so this matrix exposes its per-replication overhead — its
+win, batching many seeds per step, is measured by
+``bench_batch_scaling.py``) and doubles as a drift alarm:
 if an engine change erodes a ratio, this benchmark shows *which*
 workload shape lost it, while ``scripts/bench_ci.py`` gates the
 headline numbers in CI.
@@ -26,7 +27,12 @@ Run with::
 import pytest
 
 from repro.control.factory import make_network_controller
-from repro.experiments.runner import build_engine
+from repro.core.engine import (
+    build_batch_controller,
+    build_batch_engine,
+    build_engine,
+    has_batch_engine,
+)
 from repro.scenarios import build_named_scenario, scenario_names
 
 #: Mini-slots simulated before measuring, so queues are populated and
@@ -34,6 +40,23 @@ from repro.scenarios import build_named_scenario, scenario_names
 WARMUP_STEPS = 90
 
 ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec")
+
+
+def _closed_loop(scenario, engine):
+    """``(sim, one_mini_slot)``: the engine and one util-bp mini-slot.
+
+    A batch engine runs as a batch of one under the batched kernel, a
+    single engine under the scalar controller — the runner's pairing.
+    """
+    if has_batch_engine(engine):
+        sim = build_batch_engine([scenario], engine)
+        controller = build_batch_controller("util-bp", scenario.network, 1)
+        return sim, lambda: sim.step(
+            1.0, controller.decide_batch(sim.controller_arrays())
+        )
+    sim = build_engine(scenario, engine)
+    controller = make_network_controller("util-bp", scenario.network)
+    return sim, lambda: sim.step(1.0, controller.decide(sim.observations()))
 
 
 @pytest.fixture(
@@ -47,20 +70,14 @@ ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec")
 )
 def warm_cell(request):
     name, engine = request.param
-    scenario = build_named_scenario(name, seed=1)
-    sim = build_engine(scenario, engine)
-    controller = make_network_controller("util-bp", scenario.network)
+    _, one_mini_slot = _closed_loop(build_named_scenario(name, seed=1), engine)
     for _ in range(WARMUP_STEPS):
-        sim.step(1.0, controller.decide(sim.observations()))
-    return name, engine, sim, controller
+        one_mini_slot()
+    return name, engine, one_mini_slot
 
 
 def test_engine_matrix_step_rate(benchmark, warm_cell):
-    name, engine, sim, controller = warm_cell
-
-    def one_mini_slot():
-        sim.step(1.0, controller.decide(sim.observations()))
-
+    name, engine, one_mini_slot = warm_cell
     benchmark(one_mini_slot)
     if benchmark.stats is not None:  # absent under --benchmark-disable
         steps_per_second = 1.0 / benchmark.stats.stats.mean
@@ -74,11 +91,13 @@ def test_matrix_cells_agree_on_dynamics():
     runs = {}
     for engine in ENGINES:
         scenario = build_named_scenario("steady-3x3", seed=1)
-        sim = build_engine(scenario, engine)
-        controller = make_network_controller("util-bp", scenario.network)
+        sim, one_mini_slot = _closed_loop(scenario, engine)
         for _ in range(WARMUP_STEPS):
-            sim.step(1.0, controller.decide(sim.observations()))
-        runs[engine] = (sim.vehicles_in_network(), sim.backlog_size())
+            one_mini_slot()
+        in_network, backlog = sim.vehicles_in_network(), sim.backlog_size()
+        if has_batch_engine(engine):
+            in_network, backlog = int(in_network[0]), int(backlog[0])
+        runs[engine] = (in_network, backlog)
     assert (
         runs["meso"]
         == runs["meso-counts"]

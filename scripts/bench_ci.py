@@ -3,7 +3,8 @@
 Measures two kinds of steps/second on a small, fixed workload set:
 
 * **closed-loop** — engine + util-bp controller, the end-to-end cost a
-  sweep cell pays (keys like ``meso/steady-3x3``);
+  sweep cell pays (keys like ``meso/steady-3x3``; ``meso-vec`` runs as
+  a batch of one under the batched kernel, as the runner drives it);
 * **engine-stepping** — ``observations() + step()`` under a fixed
   phase plan, isolating the simulation backend from the controller
   (keys like ``engine/meso/steady-8x8``);
@@ -99,8 +100,12 @@ from typing import Dict
 import numpy as np
 
 from repro.control.factory import make_network_controller
-from repro.core.engine import build_batch_controller, build_batch_engine
-from repro.experiments.runner import build_engine
+from repro.core.engine import (
+    build_batch_controller,
+    build_batch_engine,
+    build_engine,
+    has_batch_engine,
+)
 from repro.scenarios import build_named_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -206,6 +211,24 @@ def calibration_score(repeats: int = 3) -> float:
     return 1.0 / best
 
 
+def closed_loop_step(scenario, engine: str):
+    """One util-bp mini-slot of ``scenario`` on ``engine``, as a callable.
+
+    Mirrors the runner's pairing: a batch engine runs as a batch of one
+    under the batched kernel, a single engine under the scalar
+    controller.
+    """
+    if has_batch_engine(engine):
+        sim = build_batch_engine([scenario], engine)
+        batched = build_batch_controller("util-bp", scenario.network, 1)
+        return lambda: sim.step(
+            1.0, batched.decide_batch(sim.controller_arrays())
+        )
+    sim = build_engine(scenario, engine)
+    controller = make_network_controller("util-bp", scenario.network)
+    return lambda: sim.step(1.0, controller.decide(sim.observations()))
+
+
 def measure_steps_per_second(
     engine: str, scenario_name: str, steps: int, repeats: int
 ) -> float:
@@ -213,13 +236,12 @@ def measure_steps_per_second(
     best = 0.0
     for attempt in range(repeats):
         scenario = build_named_scenario(scenario_name, seed=1 + attempt)
-        sim = build_engine(scenario, engine)
-        controller = make_network_controller("util-bp", scenario.network)
+        step = closed_loop_step(scenario, engine)
         for _ in range(WARMUP_STEPS):
-            sim.step(1.0, controller.decide(sim.observations()))
+            step()
         start = time.perf_counter()
         for _ in range(steps):
-            sim.step(1.0, controller.decide(sim.observations()))
+            step()
         elapsed = time.perf_counter() - start
         best = max(best, steps / elapsed)
     return best

@@ -17,19 +17,18 @@ the same name and parameters.  ``tests/test_control_batch.py`` asserts
 decision-for-decision lockstep against the serial controllers, and the
 engine parity suite pins the whole closed loop.
 
-Three controllers batch (registered in :mod:`repro.core.engine` by their
-factory names):
+Every built-in controller batches (registered in
+:mod:`repro.core.engine` by its factory name), so a batch engine is
+always driven by one of these:
 
 * ``util-bp`` — :class:`BatchUtilBpController`, Algorithm 1's three
   cases on ``(B, N)`` state arrays;
 * ``cap-bp`` — :class:`BatchCapBpController`, the fixed-slot driver plus
   capacity-normalized weights;
 * ``original-bp`` — :class:`BatchOriginalBpController`, fixed slots with
-  Eq. 5 gains on total incoming queues.
-
-``fixed-time`` is open-loop (its decisions ignore the observation), so a
-batched run of it already amortizes through the engine's shared-phase
-compression; it keeps the per-replication path.
+  Eq. 5 gains on total incoming queues;
+* ``fixed-time`` — :class:`BatchFixedTimeController`, fixed slots cycling
+  through each node's phases (queues ignored).
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ __all__ = [
     "BatchUtilBpController",
     "BatchCapBpController",
     "BatchOriginalBpController",
+    "BatchFixedTimeController",
 ]
 
 #: Sentinel above any real phase index, for masked index minima.
@@ -173,6 +173,7 @@ class _NetworkLayout:
                     self.members[n, p, j] = gid_of[(n, movement.key)]
                     self.member_valid[n, p, j] = True
                     self.member_rate[n, p, j] = movement.service_rate
+        self.n_phases = self.phase_valid.sum(axis=1)
         self._node_cols = np.arange(N)[None, :]
 
     def current_slot(self, current: np.ndarray) -> np.ndarray:
@@ -365,9 +366,16 @@ class _BatchFixedSlotController(_BatchControllerBase):
         self._pending = np.full(self._shape, -1, dtype=np.int64)
 
     def _select(
-        self, arrays: BatchControlArrays, previous: np.ndarray
+        self,
+        arrays: BatchControlArrays,
+        previous: np.ndarray,
+        expired: np.ndarray,
     ) -> np.ndarray:
-        """Per-cell slot selection (paper phase indices, never 0)."""
+        """Per-cell slot selection (paper phase indices, never 0).
+
+        Only the ``expired`` cells — those whose slot ends now, where
+        the serial driver calls ``select_phase`` — use the selection.
+        """
         raise NotImplementedError
 
     def decide_batch(self, arrays: BatchControlArrays) -> np.ndarray:
@@ -375,13 +383,13 @@ class _BatchFixedSlotController(_BatchControllerBase):
         self._check(arrays)
         now = arrays.time
         previous = self._current
-        selection = self._select(arrays, previous)
-
         has_pending = self._pending >= 0
         amber_wait = has_pending & (now < self._transition_until)
         promote = has_pending & ~amber_wait
         expired = ~has_pending & (now >= self._slot_end)
         hold = ~has_pending & ~expired
+        selection = self._select(arrays, previous, expired)
+
         unchanged = selection == previous
         first = (previous == 0) & np.isneginf(self._slot_end)
         start = expired & (unchanged | first)
@@ -421,7 +429,10 @@ class BatchCapBpController(_BatchFixedSlotController):
     """
 
     def _select(
-        self, arrays: BatchControlArrays, previous: np.ndarray
+        self,
+        arrays: BatchControlArrays,
+        previous: np.ndarray,
+        expired: np.ndarray,
     ) -> np.ndarray:
         lay = self._layout
         queues = arrays.queues
@@ -461,7 +472,10 @@ class BatchOriginalBpController(_BatchFixedSlotController):
     """
 
     def _select(
-        self, arrays: BatchControlArrays, previous: np.ndarray
+        self,
+        arrays: BatchControlArrays,
+        previous: np.ndarray,
+        expired: np.ndarray,
     ) -> np.ndarray:
         lay = self._layout
         gains = link_gain_original_array(
@@ -476,6 +490,35 @@ class BatchOriginalBpController(_BatchFixedSlotController):
         selected = lay.phase_index[lay._node_cols, arg]
         keep = np.where(previous != 0, previous, lay.first_phase)
         return np.where(best == 0.0, keep, selected)
+
+
+class BatchFixedTimeController(_BatchFixedSlotController):
+    """Fixed-time (round-robin) control on whole replication batches.
+
+    The exact vectorization of
+    :class:`~repro.control.fixed_time.FixedTimeController`: every node
+    cycles through its phases in declaration order, one slot each,
+    ignoring the queues.  A cell's cycle cursor advances only when its
+    slot expires — the only time the serial driver asks for a
+    selection — so cells in amber or mid-slot keep their place.
+    """
+
+    def reset(self) -> None:
+        """Reset the slot machinery and restart every cycle."""
+        super().reset()
+        self._cursor = np.full(self._shape, -1, dtype=np.int64)
+
+    def _select(
+        self,
+        arrays: BatchControlArrays,
+        previous: np.ndarray,
+        expired: np.ndarray,
+    ) -> np.ndarray:
+        lay = self._layout
+        self._cursor = np.where(
+            expired, (self._cursor + 1) % lay.n_phases, self._cursor
+        )
+        return lay.phase_index[lay._node_cols, np.maximum(self._cursor, 0)]
 
 
 # -- factory registration -----------------------------------------------------
@@ -516,4 +559,7 @@ register_batch_controller("util-bp", _build_util_bp)
 register_batch_controller("cap-bp", _build_fixed_slot(BatchCapBpController))
 register_batch_controller(
     "original-bp", _build_fixed_slot(BatchOriginalBpController)
+)
+register_batch_controller(
+    "fixed-time", _build_fixed_slot(BatchFixedTimeController)
 )

@@ -1,9 +1,10 @@
 """The formal simulation-engine contract and the engine registry.
 
-Every plant the control loop can drive — the mesoscopic
-store-and-forward simulator (``meso``), its counts-based fast variant
-(``meso-counts``), the microscopic Krauss simulator (``micro``), and
-any future backend (a real SUMO bridge, a hardware-in-the-loop rig) —
+The control loop drives two kinds of plant.  A *single engine* — the
+mesoscopic store-and-forward simulator (``meso``), its counts-based
+fast variants (``meso-counts``, ``meso-events``), the microscopic
+Krauss simulator (``micro``), and any future backend (a real SUMO
+bridge, a hardware-in-the-loop rig) — steps one replication and
 implements the :class:`SimulationEngine` protocol:
 
 * ``time`` — the current simulation clock (s);
@@ -17,12 +18,17 @@ implements the :class:`SimulationEngine` protocol:
 * ``vehicles_in_network()`` / ``backlog_size()`` — occupancy
   introspection used by the stability study.
 
+A *batch engine* (``meso-vec``) steps B replications of one scenario
+shape as arrays and implements :class:`BatchEngine`; it is driven at
+every B, a single run being a batch of one.
+
 Engines are registered by name so experiments, the orchestration pool
 and the CLI can select them with a string.  The built-in engines are
 imported lazily: meso-only users never pay the microscopic import.
 
 Batched *controllers* register here too, alongside the batch engines:
-a :class:`~repro.control.batch.BatchNetworkController` computes the
+every built-in controller has one, a
+:class:`~repro.control.batch.BatchNetworkController` that computes the
 phase decisions of all B replications at once on the engine's internal
 arrays (no per-replication ``QueueObservation`` round-trip), and
 :class:`BatchControlArrays` is the array-shaped ``Q(k)`` contract a
@@ -42,6 +48,7 @@ from typing import (
     Protocol,
     Sequence,
     TYPE_CHECKING,
+    Union,
     runtime_checkable,
 )
 
@@ -152,24 +159,38 @@ class BatchEngine(Protocol):
     results of replication ``b`` are independent of the batch size and
     of the other seeds — which is what lets the orchestration pool fan
     a batch back into the same per-seed result rows a serial sweep
-    would have produced.
+    would have produced, and what makes a single run a batch of one.
 
-    Per-replication surfaces take or return batch-ordered sequences:
-    ``observations()[b]`` is replication ``b``'s ``Q(k)``, ``step``
-    takes one phase mapping per replication, and the introspection
-    methods return one value per replication.
+    The closed loop drives it through its array surfaces only: every
+    mini-slot a :class:`~repro.control.batch.BatchNetworkController`
+    decides on ``controller_arrays()`` and ``step`` applies the
+    ``(B, n_nodes)`` decision array, node columns in
+    ``movement_layout`` order (checked once against the controller's
+    own layout).  ``observations()`` reports the same ``Q(k)`` as
+    per-replication dict maps — the oracle the array surface is
+    tested against.  Introspection methods return one value per
+    replication.
     """
 
     time: float
     batch_size: int
     seeds: tuple
 
+    @property
+    def movement_layout(self) -> tuple:
+        """``(node_ids, movement_keys)`` — the arrays' column order."""
+        ...
+
+    def controller_arrays(self) -> BatchControlArrays:
+        """The batched ``Q(k)`` at the current time."""
+        ...
+
     def observations(self) -> List[Dict[str, QueueObservation]]:
         """Per-replication ``Q(k)`` maps at the current time."""
         ...
 
     def step(
-        self, dt: float, phases: Sequence[Mapping[str, int]]
+        self, dt: float, phases: Union[np.ndarray, Sequence[Mapping[str, int]]]
     ) -> None:
         """Advance every replication by ``dt`` under its own phases."""
         ...
@@ -265,22 +286,22 @@ class Registry:
         return builder(*args, **kwargs)
 
 
-#: Engine constructors by name (``builder(scenario) -> SimulationEngine``).
+#: Single-engine constructors by name
+#: (``builder(scenario) -> SimulationEngine``).
 ENGINES = Registry(
     "engine",
     {
         "meso": "repro.meso.simulator",
         "meso-counts": "repro.meso.counts",
         "meso-events": "repro.meso.events",
-        "meso-vec": "repro.meso.vectorized",
         "micro": "repro.micro.simulator",
     },
 )
 
 #: Batch-engine constructors (``builder(scenarios) -> BatchEngine``).
-#: A name listed here also appears in :data:`ENGINES`: every batch
-#: engine doubles as a single-run engine (batch of one) so plain specs
-#: and the CLI can select it like any other backend.
+#: Batch engines are engine names like any other — specs, the pool and
+#: the CLI select them by name — but the runner always drives them as
+#: batches: a single run is a batch of one.
 BATCH_ENGINES = Registry(
     "batch engine",
     {
@@ -290,32 +311,24 @@ BATCH_ENGINES = Registry(
 
 #: Batch-controller constructors
 #: (``builder(network, batch_size, **params) -> BatchNetworkController``).
-#: Mirrors the batch-engine registry: controllers that can decide for a
-#: whole replication batch at once (on BatchControlArrays) register a
-#: builder by the same short name the serial factory uses, and the
-#: closed-loop batch runner picks the batched kernel whenever both the
-#: engine and the controller support it.
+#: Controllers that can decide for a whole replication batch at once
+#: (on BatchControlArrays) register a builder by the same short name
+#: the serial factory uses; the runner drives every batch engine with
+#: the batched controller of the requested name.
 BATCH_CONTROLLERS = Registry(
     "batch controller",
     {
         "util-bp": "repro.control.batch",
         "cap-bp": "repro.control.batch",
         "original-bp": "repro.control.batch",
+        "fixed-time": "repro.control.batch",
     },
 )
 
-# Legacy aliases for the registries' internals: tests and downstream
-# code reach into these mappings (e.g. to pop a test registration), so
-# they stay bound to the live dicts.
-_ENGINE_BUILDERS = ENGINES.builders
-_BUILTIN_MODULES = ENGINES.builtin_modules
-_BATCH_ENGINE_BUILDERS = BATCH_ENGINES.builders
-_BUILTIN_BATCH_MODULES = BATCH_ENGINES.builtin_modules
-_BATCH_CONTROLLER_BUILDERS = BATCH_CONTROLLERS.builders
-_BUILTIN_BATCH_CONTROLLER_MODULES = BATCH_CONTROLLERS.builtin_modules
-
 #: The engine names the CLI offers (built-ins; plugins add more).
-ENGINE_NAMES = tuple(sorted(ENGINES.builtin_modules))
+ENGINE_NAMES = tuple(
+    sorted(set(ENGINES.builtin_modules) | set(BATCH_ENGINES.builtin_modules))
+)
 
 
 # -- engines (thin delegates onto the registry) -------------------------------
@@ -329,8 +342,8 @@ def register_engine(
 
 
 def engine_names() -> tuple:
-    """All currently selectable engine names (built-in + registered)."""
-    return ENGINES.names()
+    """All currently selectable engine names, single and batch."""
+    return tuple(sorted(set(ENGINES.names()) | set(BATCH_ENGINES.names())))
 
 
 def provider_module(name: str) -> Optional[str]:
@@ -339,14 +352,22 @@ def provider_module(name: str) -> Optional[str]:
     Worker processes under the ``spawn`` start method begin with a
     fresh registry; importing this module there re-establishes the
     registration (engines register at import time, like the
-    built-ins).  Returns ``None`` for unregistered names or builders
-    defined in ``__main__`` (not importable elsewhere).
+    built-ins).  Batch engines resolve through the batch registry.
+    Returns ``None`` for unregistered names or builders defined in
+    ``__main__`` (not importable elsewhere).
     """
-    return ENGINES.provider_module(name)
+    registry = BATCH_ENGINES if has_batch_engine(name) else ENGINES
+    return registry.provider_module(name)
 
 
 def build_engine(scenario: "Scenario", engine: str = "meso") -> SimulationEngine:
-    """Instantiate a simulation engine for a scenario by name."""
+    """Instantiate a single simulation engine for a scenario by name."""
+    if has_batch_engine(engine):
+        raise ValueError(
+            f"{engine!r} is a batch engine: run it through "
+            f"run_scenario(scenario, engine={engine!r}) (a batch of one) "
+            f"or build_batch_engine([scenario], {engine!r})"
+        )
     return ENGINES.build(engine, scenario)
 
 
@@ -359,9 +380,9 @@ def register_batch_engine(
     """Register a batch-engine constructor (``builder(scenarios) -> engine``).
 
     ``scenarios`` is one :class:`Scenario` per replication — same
-    workload shape, one seed each.  A batch engine should also register
-    a plain single-run builder under the same name (batch of one), so
-    specs naming the engine work outside the batching pool path too.
+    workload shape, one seed each.  The name is selectable wherever an
+    engine name is (:func:`engine_names`); single runs of it execute
+    as a batch of one.
     """
     BATCH_ENGINES.register(name, builder)
 

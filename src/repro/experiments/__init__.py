@@ -1,7 +1,7 @@
 """Evaluation scenarios and the drivers that regenerate the paper's
 tables and figures.
 
-* :mod:`repro.experiments.patterns` — Tables I and II.
+* :mod:`repro.scenarios.patterns` — Tables I and II (re-exported here).
 * :mod:`repro.scenarios` — the scenario builder and workload catalog.
 * :mod:`repro.experiments.runner` — the closed control loop.
 * :mod:`repro.experiments.table3` — Table III (CAP-BP best period vs
@@ -25,7 +25,7 @@ executes through the shared pool + result store and gains resume and
 cross-driver cell sharing.
 """
 
-from repro.experiments.patterns import (
+from repro.scenarios.patterns import (
     MIXED_SEGMENT_DURATION,
     PATTERN_NAMES,
     PATTERNS,

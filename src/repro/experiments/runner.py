@@ -2,11 +2,20 @@
 
 This is the only place where the cyber part (controllers) and the
 physical part (simulators) touch: every mini-slot the runner reads the
-queue observations, asks each intersection's controller for a phase,
-and applies the decisions to the engine.
+queue observations ``Q(k)``, asks the controller for each
+intersection's phase, and applies the decisions to the engine.  One
+loop serves both runners — :func:`run_scenario` is a batch of one —
+and it pairs each engine kind with its controller kind:
 
-The engine contract itself (``observations / step / finalize / time /
-collector / utilization``) and the name-based engine registry live in
+* a single engine (``meso``, ``meso-counts``, ``meso-events``,
+  ``micro``) is driven by the scalar
+  :class:`~repro.control.base.NetworkController` on its
+  per-intersection observations;
+* a batch engine (``meso-vec``) is driven, at any batch size including
+  one, by the :class:`~repro.control.batch.BatchNetworkController` of
+  the same name on the engine's ``controller_arrays()``.
+
+The engine contracts and the name-based registries live in
 :mod:`repro.core.engine`; :func:`build_engine` and
 :func:`register_engine` are re-exported here for backwards
 compatibility.
@@ -15,17 +24,18 @@ compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 # Re-exported for backwards compatibility: the registry moved to the
 # core layer so engines can register without importing experiments.
 from repro.core.engine import (
-    BatchEngine,
-    SimulationEngine,
+    batch_engine_names,
     build_batch_controller,
     build_batch_engine,
     build_engine,
-    has_batch_controller,
+    has_batch_engine,
     register_engine,
 )
 from repro.control.factory import make_network_controller
@@ -34,7 +44,6 @@ from repro.metrics.collector import Summary
 from repro.metrics.traces import PhaseTrace, QueueTrace, next_grid_sample
 from repro.metrics.utilization import UtilizationTracker
 from repro.model.phases import TRANSITION_PHASE_INDEX
-from repro.util.logging import get_logger
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -216,7 +225,7 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
         Simulation horizon in seconds; defaults to the scenario's.
     engine:
         An engine name from :func:`repro.core.engine.engine_names`
-        (default ``"meso"``).
+        (default ``"meso"``).  A batch engine runs as a batch of one.
     mini_slot:
         The control mini-slot ``Delta_t`` (s); controllers are invoked
         once per mini-slot.
@@ -227,57 +236,7 @@ def run_scenario(scenario: Scenario, **knobs: Any) -> RunResult:
         ``(node_id, in_road)`` pairs whose total stop-line queue should
         be sampled every ``queue_sample_interval`` seconds (Fig. 5).
     """
-    config = RunConfig.resolve("meso", knobs)
-    horizon = config.horizon(scenario)
-    check_positive("duration", horizon)
-
-    # Controller first: its factory validates the name and parameters,
-    # so a bad controller spec fails before the engine is built.
-    network_controller = make_network_controller(
-        config.controller, scenario.network, **(config.controller_params or {})
-    )
-    sim: SimulationEngine = build_engine(scenario, config.engine)
-
-    mini_slot = config.mini_slot
-    queue_sample_interval = config.queue_sample_interval
-    phase_traces = {
-        node_id: PhaseTrace(node_id) for node_id in config.record_phases
-    }
-    queue_traces = {
-        (node_id, road): QueueTrace(road_id=road)
-        for node_id, road in config.record_queues
-    }
-    next_queue_sample = 0.0
-
-    steps = int(round(horizon / mini_slot))
-    for _ in range(steps):
-        now = sim.time
-        observations = sim.observations()
-        decisions = network_controller.decide(observations)
-        for node_id, trace in phase_traces.items():
-            # The simulator treats intersections missing from the
-            # decision map as showing amber; record the same.
-            trace.record(
-                now, decisions.get(node_id, TRANSITION_PHASE_INDEX)
-            )
-        if queue_traces and now >= next_queue_sample:
-            for (node_id, road), trace in queue_traces.items():
-                trace.sample(now, sim.incoming_queue_total(road))
-            next_queue_sample = next_grid_sample(now, queue_sample_interval)
-        sim.step(mini_slot, decisions)
-
-    sim.finalize()
-    return RunResult(
-        scenario_name=scenario.name,
-        controller_name=config.controller,
-        duration=horizon,
-        summary=sim.collector.summary(horizon),
-        phase_traces=phase_traces,
-        queue_traces=queue_traces,
-        utilization=dict(sim.utilization),
-        vehicles_in_network=sim.vehicles_in_network(),
-        backlog=sim.backlog_size(),
-    )
+    return _closed_loop([scenario], RunConfig.resolve("meso", knobs))[0]
 
 
 def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
@@ -285,86 +244,139 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
 
     All knobs are keyword-only and identical to :func:`run_scenario`'s
     (see :class:`RunConfig`); only the default ``engine`` differs
-    (``"meso-vec"``).  Unknown knobs and bad controller specs are
+    (``"meso-vec"``, which must name a batch engine when there is more
+    than one scenario).  Unknown knobs and bad controller specs are
     rejected before the batch engine is built.
 
     ``scenarios`` share the workload shape (same network, demand and
-    turning model — typically one :class:`Scenario` per seed); each
-    replication is decided exactly as :func:`run_scenario` would decide
-    it alone.  Returns one :class:`RunResult` per scenario, in order,
-    and — by the batch engines' parity contract — each result equals
-    the single-run result for that scenario and engine.
-
-    When both the controller and the engine support it, the closed loop
-    runs *batched*: one
-    :class:`~repro.control.batch.BatchNetworkController` computes every
-    replication's decisions on the engine's internal arrays (the
-    ``controller_arrays`` façade), skipping the per-replication
-    ``QueueObservation`` construction and Python controller loop.  The
-    batched kernel is decision-for-decision identical to the serial
-    controllers, so results do not depend on which path ran.  Anything
-    else — an unknown controller, an engine without the array façade —
-    falls back to per-replication controllers with a one-line notice on
-    stderr, so a silently de-vectorized sweep is visible in its logs.
+    turning model — typically one :class:`Scenario` per seed).  Every
+    mini-slot one :class:`~repro.control.batch.BatchNetworkController`
+    decides all replications on the engine's arrays.  Returns one
+    :class:`RunResult` per scenario, in order; by the batch engines'
+    and batched controllers' parity contracts each equals the single
+    run of that scenario on ``meso-counts``.
     """
     config = RunConfig.resolve("meso-vec", knobs)
     if not scenarios:
         return []
-    first = scenarios[0]
-    horizon = config.horizon(first)
+    return _closed_loop(scenarios, config)
+
+
+class _SinglePlant:
+    """A single engine under the scalar :class:`NetworkController`."""
+
+    def __init__(self, scenarios: Sequence[Scenario], config: RunConfig):
+        if len(scenarios) != 1:
+            raise ValueError(
+                f"engine {config.engine!r} steps one replication at a time; "
+                f"batches need a batch engine: {list(batch_engine_names())}"
+            )
+        (scenario,) = scenarios
+        self.controller = make_network_controller(
+            config.controller,
+            scenario.network,
+            **(config.controller_params or {}),
+        )
+        self.sim = build_engine(scenario, config.engine)
+
+    def decide(self) -> Dict[str, int]:
+        """Every intersection's phase for the next mini-slot."""
+        return self.controller.decide(self.sim.observations())
+
+    @staticmethod
+    def phase(decisions: Dict[str, int], b: int, node_id: str) -> int:
+        """The decision for one node (absent: amber, as the engine reads it)."""
+        return decisions.get(node_id, TRANSITION_PHASE_INDEX)
+
+    def queue_totals(self, road_id: str) -> Sequence[int]:
+        """One road's stop-line queue, per replication."""
+        return (self.sim.incoming_queue_total(road_id),)
+
+    def outcomes(self, horizon: float) -> List[Dict[str, Any]]:
+        """Finalize; the engine-side :class:`RunResult` fields, per replication."""
+        sim = self.sim
+        sim.finalize()
+        return [dict(
+            summary=sim.collector.summary(horizon),
+            utilization=dict(sim.utilization),
+            vehicles_in_network=sim.vehicles_in_network(),
+            backlog=sim.backlog_size(),
+        )]
+
+
+class _BatchPlant:
+    """A batch engine under its :class:`BatchNetworkController`, any B."""
+
+    def __init__(self, scenarios: Sequence[Scenario], config: RunConfig):
+        self.controller = build_batch_controller(
+            config.controller,
+            scenarios[0].network,
+            len(scenarios),
+            **(config.controller_params or {}),
+        )
+        self.sim = build_batch_engine(scenarios, config.engine)
+        layout = (self.controller.node_ids, self.controller.movement_keys)
+        if self.sim.movement_layout != layout:
+            raise ValueError(
+                f"batch engine {config.engine!r} and batch controller "
+                f"{config.controller!r} disagree on the movement layout"
+            )
+        self._column = {
+            node_id: i for i, node_id in enumerate(self.controller.node_ids)
+        }
+
+    def decide(self) -> np.ndarray:
+        """The ``(B, n_nodes)`` phase decisions for the next mini-slot."""
+        return self.controller.decide_batch(self.sim.controller_arrays())
+
+    def phase(self, decisions: np.ndarray, b: int, node_id: str) -> int:
+        """Replication ``b``'s decision for one node (absent: amber)."""
+        column = self._column.get(node_id)
+        if column is None:
+            return TRANSITION_PHASE_INDEX
+        return int(decisions[b, column])
+
+    def queue_totals(self, road_id: str) -> Sequence[int]:
+        """One road's stop-line queue, per replication."""
+        return self.sim.incoming_queue_total(road_id)
+
+    def outcomes(self, horizon: float) -> List[Dict[str, Any]]:
+        """Finalize; the engine-side :class:`RunResult` fields, per replication."""
+        sim = self.sim
+        sim.finalize()
+        in_network = sim.vehicles_in_network()
+        backlog = sim.backlog_size()
+        return [
+            dict(
+                summary=summary,
+                utilization=sim.utilization_of(b),
+                vehicles_in_network=int(in_network[b]),
+                backlog=int(backlog[b]),
+            )
+            for b, summary in enumerate(sim.summaries(horizon))
+        ]
+
+
+def _closed_loop(
+    scenarios: Sequence[Scenario], config: RunConfig
+) -> List[RunResult]:
+    """The per-mini-slot loop behind both runners, one result per scenario.
+
+    The engine kind picks the plant: a batch engine with its batched
+    controller, anything else a single engine with the scalar one.  The
+    controller is built first — its factory validates the name and
+    parameters, so a bad spec fails before the engine is built.
+    """
+    horizon = config.horizon(scenarios[0])
     check_positive("duration", horizon)
-    controller = config.controller
-    controller_params = config.controller_params
+    plant_type = _BatchPlant if has_batch_engine(config.engine) else _SinglePlant
+    plant = plant_type(scenarios, config)
+    sim = plant.sim
+
     mini_slot = config.mini_slot
     record_phases = config.record_phases
     record_queues = config.record_queues
-    queue_sample_interval = config.queue_sample_interval
-
-    # Validate the controller spec (name + parameters) before paying
-    # for the batch engine: the probe controller is discarded, but its
-    # construction runs the same factory checks the real ones will.
-    make_network_controller(controller, first.network, **(controller_params or {}))
-
-    sim: BatchEngine = build_batch_engine(scenarios, config.engine)
-    batch_controller = None
-    if has_batch_controller(controller) and hasattr(sim, "controller_arrays"):
-        candidate = build_batch_controller(
-            controller,
-            first.network,
-            len(scenarios),
-            **(controller_params or {}),
-        )
-        layout = getattr(sim, "movement_layout", None)
-        if layout == (candidate.node_ids, candidate.movement_keys):
-            batch_controller = candidate
-    controllers = []
-    if batch_controller is None:
-        if controller != "fixed-time":
-            # fixed-time is open-loop; its per-replication instances
-            # produce one shared phase pattern the engine compresses,
-            # so only closed-loop fallbacks are worth flagging.
-            get_logger("runner").warning(
-                "batch_controller_fallback",
-                message=(
-                    f"closed-loop batch of {len(scenarios)} replications "
-                    f"falling back to per-replication {controller!r} "
-                    f"controllers (no batched implementation)"
-                ),
-                controller=controller,
-                engine=config.engine,
-                replications=len(scenarios),
-            )
-        controllers = [
-            make_network_controller(
-                controller, first.network, **(controller_params or {})
-            )
-            for _ in scenarios
-        ]
-    node_column = (
-        {node_id: i for i, node_id in enumerate(batch_controller.node_ids)}
-        if batch_controller is not None and record_phases
-        else {}
-    )
+    queue_roads = {road for _, road in record_queues}
     phase_traces = [
         {node_id: PhaseTrace(node_id) for node_id in record_phases}
         for _ in scenarios
@@ -381,59 +393,31 @@ def run_scenario_batch(scenarios: Sequence[Scenario], **knobs: Any) -> list:
     steps = int(round(horizon / mini_slot))
     for _ in range(steps):
         now = sim.time
-        if batch_controller is not None:
-            decision_array = batch_controller.decide_batch(
-                sim.controller_arrays()
-            )
-            if record_phases:
-                for b, traces in enumerate(phase_traces):
-                    for node_id, trace in traces.items():
-                        column = node_column.get(node_id)
-                        trace.record(
-                            now,
-                            TRANSITION_PHASE_INDEX
-                            if column is None
-                            else int(decision_array[b, column]),
-                        )
-            decisions = decision_array
-        else:
-            observations = sim.observations()
-            decisions = [
-                network_controller.decide(obs)
-                for network_controller, obs in zip(controllers, observations)
-            ]
-            for rep_decisions, traces in zip(decisions, phase_traces):
+        decisions = plant.decide()
+        if record_phases:
+            for b, traces in enumerate(phase_traces):
                 for node_id, trace in traces.items():
-                    trace.record(
-                        now,
-                        rep_decisions.get(node_id, TRANSITION_PHASE_INDEX),
-                    )
+                    trace.record(now, plant.phase(decisions, b, node_id))
         if record_queues and now >= next_queue_sample:
-            road_totals = {
-                road: sim.incoming_queue_total(road)
-                for road in {road for _, road in record_queues}
-            }
+            totals = {road: plant.queue_totals(road) for road in queue_roads}
             for b, traces in enumerate(queue_traces):
-                for (node_id, road), trace in traces.items():
-                    trace.sample(now, int(road_totals[road][b]))
-            next_queue_sample = next_grid_sample(now, queue_sample_interval)
+                for (_, road), trace in traces.items():
+                    trace.sample(now, int(totals[road][b]))
+            next_queue_sample = next_grid_sample(
+                now, config.queue_sample_interval
+            )
         sim.step(mini_slot, decisions)
 
-    sim.finalize()
-    summaries = sim.summaries(horizon)
-    in_network = sim.vehicles_in_network()
-    backlog = sim.backlog_size()
     return [
         RunResult(
             scenario_name=scenario.name,
-            controller_name=controller,
+            controller_name=config.controller,
             duration=horizon,
-            summary=summaries[b],
-            phase_traces=phase_traces[b],
-            queue_traces=queue_traces[b],
-            utilization=sim.utilization_of(b),
-            vehicles_in_network=int(in_network[b]),
-            backlog=int(backlog[b]),
+            phase_traces=phases,
+            queue_traces=queues,
+            **outcome,
         )
-        for b, scenario in enumerate(scenarios)
+        for scenario, phases, queues, outcome in zip(
+            scenarios, phase_traces, queue_traces, plant.outcomes(horizon)
+        )
     ]

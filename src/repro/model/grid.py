@@ -8,7 +8,9 @@ the outside world (:data:`~repro.model.network.BOUNDARY`).
 
 Naming scheme
 -------------
-* Intersections: ``"J{row}{col}"`` with row 0 at the *north* edge.
+* Intersections: ``"J{row}{col}"`` with row 0 at the *north* edge;
+  ``"J{row}_{col}"`` once either index exceeds 9 (``J1_11`` and
+  ``J11_1`` must differ).
 * Internal roads: ``"J00->J01"`` (origin -> destination).
 * Boundary roads: ``"IN:N@J01"`` (entry from the north into J01) and
   ``"OUT:N@J01"`` (exit towards the north from J01).
@@ -40,9 +42,17 @@ _OFFSETS: Dict[Direction, Tuple[int, int]] = {
 
 
 def grid_node_id(row: int, col: int) -> str:
-    """Canonical intersection id for grid position ``(row, col)``."""
+    """Canonical intersection id for grid position ``(row, col)``.
+
+    Single-digit positions keep the compact ``J{row}{col}`` form, so ids
+    (and every road id and stored trace key built from them) on grids
+    up to 10x10 never change; larger indices need the delimiter to stay
+    unique.
+    """
     if row < 0 or col < 0:
         raise ValueError(f"grid position must be non-negative, got ({row}, {col})")
+    if row > 9 or col > 9:
+        return f"J{row}_{col}"
     return f"J{row}{col}"
 
 
@@ -170,6 +180,13 @@ def build_grid_network(
                 out_roads=out_roads,
                 service_rate=node_service_rates.pop(node_id, service_rate),
             )
+
+    # Internal roads: one per direction between adjacent junctions;
+    # boundary roads: an entry and an exit per perimeter side.
+    expected_roads = 2 * (rows * (cols - 1) + cols * (rows - 1))
+    expected_roads += 2 * (2 * rows + 2 * cols)
+    assert len(intersections) == rows * cols, "grid node ids collided"
+    assert len(roads) == expected_roads, "grid road ids collided"
 
     if capacity_overrides:
         raise ValueError(

@@ -38,7 +38,8 @@ class TraciSession:
     scenario:
         The scenario to simulate.
     engine:
-        ``"meso"`` or ``"micro"``.
+        A single-engine name (``"meso"``, ``"micro"``, ...); batch
+        engines such as ``"meso-vec"`` are rejected.
     step_length:
         Seconds advanced by each :meth:`simulationStep` call (TraCI's
         step length); also the observation cadence.

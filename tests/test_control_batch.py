@@ -9,26 +9,26 @@ controller layer:
 * lockstep parity — a B=1 meso-vec engine is stepped for hundreds of
   mini-slots while a serial controller (fed ``QueueObservation`` maps)
   and the batched controller (fed the engine's arrays) must emit the
-  same phase for every node at every step, for all three batched
-  algorithms;
+  same phase for every node at every step, for all four controllers;
 * batch-width independence of the *decisions* themselves (not just of
   the end-of-run books, which the engine parity suite covers);
 * the registry, the protocol, ``reset``, and the constructor/shape
   validation;
-* the runner's fallback path: an un-batchable controller must still
-  produce results identical to the single runs, and must say so once
-  on stderr.
+* the runner: a single ``meso-vec`` run (a batch of one, decided by the
+  batched kernel) equals the ``meso-counts`` run under the scalar
+  controller — summary, utilization, phase and queue traces.
 """
 
 import pytest
 
 from repro.control.batch import (
     BatchCapBpController,
+    BatchFixedTimeController,
     BatchNetworkController,
     BatchOriginalBpController,
     BatchUtilBpController,
 )
-from repro.control.factory import make_network_controller
+from repro.control.factory import CONTROLLER_NAMES, make_network_controller
 from repro.core.engine import (
     batch_controller_names,
     build_batch_controller,
@@ -38,11 +38,12 @@ from repro.core.engine import (
 from repro.model.grid import build_grid_network
 from repro.scenarios import build_named_scenario
 
-#: (controller name, parameters) triples with batched implementations.
+#: (controller name, parameters) of every built-in controller.
 CONTROLLERS = (
     ("util-bp", {}),
     ("cap-bp", {"period": 16.0}),
     ("original-bp", {"period": 16.0}),
+    ("fixed-time", {"period": 16.0}),
 )
 
 #: Congested and direction-skewed shapes: the beta (spillback) and
@@ -112,14 +113,9 @@ class TestDecisionBatchIndependence:
 
 class TestControllerPlumbing:
     def test_registry_names(self):
-        assert set(batch_controller_names()) >= {
-            "util-bp",
-            "cap-bp",
-            "original-bp",
-        }
-        assert has_batch_controller("util-bp")
-        # fixed-time is open-loop: deliberately not batched.
-        assert not has_batch_controller("fixed-time")
+        assert set(batch_controller_names()) >= set(CONTROLLER_NAMES)
+        for name in CONTROLLER_NAMES:
+            assert has_batch_controller(name)
 
     def test_unknown_name_rejected(self):
         network = build_grid_network(1, 1)
@@ -132,6 +128,7 @@ class TestControllerPlumbing:
             (BatchUtilBpController, {}),
             (BatchCapBpController, {"period": 16.0}),
             (BatchOriginalBpController, {"period": 16.0}),
+            (BatchFixedTimeController, {"period": 16.0}),
         ):
             controller = cls(network, 3, **kwargs)
             assert isinstance(controller, BatchNetworkController)
@@ -193,24 +190,30 @@ class TestRunnerIntegration:
         run_scenario_batch(scenarios, controller="util-bp", duration=60.0)
         assert "falling back" not in capsys.readouterr().err
 
-    def test_fallback_matches_batched_results_and_warns(
-        self, capsys, monkeypatch
-    ):
-        """An un-batchable controller still gets correct (serial) results."""
-        import repro.experiments.runner as runner
+    @pytest.mark.parametrize(
+        "controller,params", CONTROLLERS, ids=[c for c, _ in CONTROLLERS]
+    )
+    def test_single_vec_run_equals_counts_run(self, controller, params):
+        """A batch of one under the kernel equals the scalar closed loop."""
+        from repro.experiments.runner import run_scenario
 
-        scenarios = [
-            build_named_scenario("steady-3x3", seed=s) for s in (5, 6)
-        ]
-        batched = runner.run_scenario_batch(
-            scenarios, controller="util-bp", duration=120.0
+        knobs = dict(
+            controller=controller,
+            controller_params=params,
+            duration=240.0,
+            record_phases=("J00", "J12"),
+            record_queues=(("J00", "IN:N@J00"), ("J12", "J11->J12")),
         )
-        monkeypatch.setattr(runner, "has_batch_controller", lambda name: False)
-        fallback = runner.run_scenario_batch(
-            [build_named_scenario("steady-3x3", seed=s) for s in (5, 6)],
-            controller="util-bp",
-            duration=120.0,
+        vec = run_scenario(
+            build_named_scenario("surge-4x4", seed=7), engine="meso-vec", **knobs
         )
-        err = capsys.readouterr().err
-        assert "falling back to per-replication 'util-bp'" in err
-        assert fallback == batched
+        counts = run_scenario(
+            build_named_scenario("surge-4x4", seed=7),
+            engine="meso-counts",
+            **knobs,
+        )
+        assert vec.summary == counts.summary
+        assert vec.utilization == counts.utilization
+        assert vec.phase_traces == counts.phase_traces
+        assert vec.queue_traces == counts.queue_traces
+        assert vec == counts

@@ -3,20 +3,26 @@
 One parametrized set of checks run against every registered backend:
 the protocol surface, observation shape, determinism under a fixed
 seed, and finalize idempotence.  A new engine passes this suite or it
-is not an engine.
+is not an engine.  The batch engine (``meso-vec``) runs the same checks
+as a batch of one, reading replication 0 of its per-replication
+surfaces.
 """
 
 import pytest
 
 from repro.core.engine import (
     ENGINE_NAMES,
+    ENGINES as ENGINE_REGISTRY,
+    BatchEngine,
     SimulationEngine,
+    build_batch_engine,
     build_engine,
     engine_names,
     provider_module,
     register_engine,
 )
 from repro.experiments.runner import run_scenario
+from repro.scenarios import build_named_scenario
 from repro.scenarios.core import build_scenario
 from repro.model.phases import TRANSITION_PHASE_INDEX
 
@@ -33,13 +39,35 @@ HORIZON = {
 
 
 def _make(engine: str):
-    return build_engine(build_scenario("I", seed=7), engine)
+    scenario = build_scenario("I", seed=7)
+    if engine == "meso-vec":
+        return build_batch_engine([scenario], engine)
+    return build_engine(scenario, engine)
+
+
+def _batched(sim) -> bool:
+    return isinstance(sim, BatchEngine)
+
+
+def _step(sim, decisions) -> None:
+    sim.step(1.0, [decisions] if _batched(sim) else decisions)
 
 
 def _drive(sim, steps: int, phase: int = 1) -> None:
     decisions = {node_id: phase for node_id in sim.network.intersections}
     for _ in range(steps):
-        sim.step(1.0, decisions)
+        _step(sim, decisions)
+
+
+def _summary(sim, horizon: float):
+    if _batched(sim):
+        return sim.summaries(horizon)[0]
+    return sim.collector.summary(horizon)
+
+
+def _row0(sim, value):
+    """Replication 0 of a batch engine's per-replication value."""
+    return value[0] if _batched(sim) else value
 
 
 class TestRegistry:
@@ -73,9 +101,7 @@ class TestRegistry:
         try:
             assert provider_module("test-provider") == builder.__module__
         finally:
-            from repro.core.engine import _ENGINE_BUILDERS
-
-            _ENGINE_BUILDERS.pop("test-provider", None)
+            ENGINE_REGISTRY.builders.pop("test-provider", None)
 
     def test_custom_registration(self):
         calls = []
@@ -90,9 +116,13 @@ class TestRegistry:
             assert calls and isinstance(sim, SimulationEngine)
             assert "test-custom" in engine_names()
         finally:
-            from repro.core.engine import _ENGINE_BUILDERS
+            ENGINE_REGISTRY.builders.pop("test-custom", None)
 
-            _ENGINE_BUILDERS.pop("test-custom", None)
+    def test_batch_engine_is_not_a_single_engine(self):
+        """meso-vec is selectable by name but only runs as a batch."""
+        assert "meso-vec" in engine_names()
+        with pytest.raises(ValueError, match="build_batch_engine"):
+            build_engine(build_scenario("I"), "meso-vec")
 
 
 class TestBatchRegistry:
@@ -132,15 +162,16 @@ class TestBatchRegistry:
 class TestEngineContract:
     def test_satisfies_protocol(self, engine):
         sim = _make(engine)
-        assert isinstance(sim, SimulationEngine)
+        protocol = BatchEngine if engine == "meso-vec" else SimulationEngine
+        assert isinstance(sim, protocol)
         assert sim.time == 0.0
-        assert sim.vehicles_in_network() == 0
-        assert sim.backlog_size() == 0
+        assert _row0(sim, sim.vehicles_in_network()) == 0
+        assert _row0(sim, sim.backlog_size()) == 0
 
     def test_observation_shape(self, engine):
         sim = _make(engine)
         _drive(sim, 5)
-        observations = sim.observations()
+        observations = _row0(sim, sim.observations())
         network = sim.network
         assert set(observations) == set(network.intersections)
         for node_id, observation in observations.items():
@@ -179,16 +210,16 @@ class TestEngineContract:
         sim = _make(engine)
         _drive(sim, int(HORIZON[engine]))
         sim.finalize()
-        first = sim.collector.summary(HORIZON[engine])
+        first = _summary(sim, HORIZON[engine])
         sim.finalize()  # must be a no-op
-        assert sim.collector.summary(HORIZON[engine]) == first
+        assert _summary(sim, HORIZON[engine]) == first
 
     def test_step_after_finalize_rejected(self, engine):
         sim = _make(engine)
         _drive(sim, 3)
         sim.finalize()
         with pytest.raises(RuntimeError, match="finalized"):
-            sim.step(1.0, {})
+            _step(sim, {})
 
     def test_amber_serves_nothing(self, engine):
         sim = _make(engine)
@@ -197,8 +228,23 @@ class TestEngineContract:
             for node_id in sim.network.intersections
         }
         for _ in range(20):
-            sim.step(1.0, decisions)
-        assert sim.collector.vehicles_left == 0
-        assert all(
-            tracker.green_time == 0.0 for tracker in sim.utilization.values()
+            _step(sim, decisions)
+        summary = _summary(sim, 20.0)
+        assert summary.vehicles_left == 0
+        utilization = (
+            sim.utilization_of(0) if _batched(sim) else sim.utilization
         )
+        assert all(
+            tracker.green_time == 0.0 for tracker in utilization.values()
+        )
+
+
+@pytest.mark.parametrize("size", [11, 12])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_grids_beyond_ten_keep_every_intersection(engine, size):
+    """Ids past row/column 9 stay unique: no intersection is merged away."""
+    scenario = build_named_scenario(f"steady-{size}x{size}", seed=3)
+    result = run_scenario(scenario, duration=10.0, engine=engine)
+    assert len(result.utilization) == size * size
+    last = size - 1
+    assert {f"J1_{last}", f"J{last}_1"} <= set(result.utilization)

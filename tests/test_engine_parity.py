@@ -44,6 +44,7 @@ from repro.core.engine import (
     build_batch_controller,
     build_batch_engine,
     build_engine,
+    has_batch_engine,
 )
 from repro.scenarios import build_named_scenario
 
@@ -54,6 +55,36 @@ SCENARIOS = ("steady-3x3", "tidal-3x3", "surge-4x4")
 STEPS = 300
 
 
+def _build(name, engine):
+    """A single engine, or a batch engine as a batch of one."""
+    scenario = build_named_scenario(name, seed=11)
+    if has_batch_engine(engine):
+        return build_batch_engine([scenario], engine)
+    return build_engine(scenario, engine)
+
+
+class _Row0:
+    """Replication 0 of a batch of one, read through the lockstep's calls."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def observations(self):
+        return self.batch.observations()[0]
+
+    def vehicles_in_network(self):
+        return int(self.batch.vehicles_in_network()[0])
+
+    def backlog_size(self):
+        return int(self.batch.backlog_size()[0])
+
+    def incoming_queue_total(self, road):
+        return int(self.batch.incoming_queue_total(road)[0])
+
+    def step(self, dt, phases):
+        self.batch.step(dt, [phases])
+
+
 def _lockstep(
     name,
     decide_a,
@@ -61,31 +92,38 @@ def _lockstep(
     steps=STEPS,
     engines=("meso", "meso-counts"),
 ):
-    """Drive two engines in lockstep; assert per-step equivalence."""
-    reference = build_engine(build_named_scenario(name, seed=11), engines[0])
-    counts = build_engine(build_named_scenario(name, seed=11), engines[1])
+    """Drive two engines in lockstep; assert per-step equivalence.
+
+    Returns the two engines; a batch engine (``meso-vec``) runs as a
+    batch of one and is compared through replication 0.
+    """
+    reference, counts = (_build(name, engine) for engine in engines)
+    views = [
+        _Row0(sim) if has_batch_engine(engine) else sim
+        for sim, engine in zip((reference, counts), engines)
+    ]
     roads = list(reference.network.roads)
     for step in range(steps):
-        obs_ref = reference.observations()
-        obs_cnt = counts.observations()
+        obs_ref = views[0].observations()
+        obs_cnt = views[1].observations()
         assert set(obs_ref) == set(obs_cnt)
         for node_id in obs_ref:
             a, b = obs_ref[node_id], obs_cnt[node_id]
             assert a.movement_queues == b.movement_queues, (name, step, node_id)
             assert a.out_queues == b.out_queues, (name, step, node_id)
             assert a.out_capacities == b.out_capacities, (name, step, node_id)
-        assert reference.vehicles_in_network() == counts.vehicles_in_network()
-        assert reference.backlog_size() == counts.backlog_size()
+        assert views[0].vehicles_in_network() == views[1].vehicles_in_network()
+        assert views[0].backlog_size() == views[1].backlog_size()
         if step % 25 == 0:  # spot-check the per-road introspection
             for road in roads:
-                assert reference.incoming_queue_total(
+                assert views[0].incoming_queue_total(
                     road
-                ) == counts.incoming_queue_total(road), (name, step, road)
+                ) == views[1].incoming_queue_total(road), (name, step, road)
         phases_ref = decide_a(obs_ref, step)
         phases_cnt = decide_b(obs_cnt, step)
         assert phases_ref == phases_cnt, (name, step)
-        reference.step(1.0, phases_ref)
-        counts.step(1.0, phases_cnt)
+        views[0].step(1.0, phases_ref)
+        views[1].step(1.0, phases_cnt)
     reference.finalize()
     counts.finalize()
     return reference, counts
@@ -190,19 +228,25 @@ class TestEventsTrajectoryParity:
 
 @pytest.mark.parametrize("name", SCENARIOS)
 class TestVectorizedTrajectoryParity:
-    """``meso-vec`` at B=1 against ``meso-counts``: exact, per step."""
+    """``meso-vec`` at B=1 against ``meso-counts``: exact, per step.
+
+    The batch engine is built with ``build_batch_engine([scenario])``
+    and every comparison reads its replication 0.
+    """
 
     ENGINES = ("meso-counts", "meso-vec")
 
     def _assert_aggregate_books_match(self, counts, vectorized):
         horizon = float(STEPS)
         cnt_util = {n: t.to_dict() for n, t in counts.utilization.items()}
-        vec_util = {n: t.to_dict() for n, t in vectorized.utilization.items()}
+        vec_util = {
+            n: t.to_dict() for n, t in vectorized.utilization_of(0).items()
+        }
         assert cnt_util == vec_util
         # Both report aggregate books, so the whole summary — travel
         # time estimate included — must be bit-for-bit equal.
         cnt = counts.collector.summary(horizon)
-        vec = vectorized.collector.summary(horizon)
+        vec = vectorized.summaries(horizon)[0]
         assert cnt.delay_mode == vec.delay_mode == "aggregate"
         assert cnt == vec
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.patterns import TURNING
+from repro.scenarios.patterns import TURNING
 from repro.micro.params import KraussParams, MicroParams
 from repro.micro.simulator import MicroSimulator
 from repro.model.arrivals import ArrivalSchedule

@@ -58,6 +58,20 @@ class TestGridBuilder:
         with pytest.raises(ValueError):
             grid_node_id(-1, 0)
 
+    def test_node_ids_unique_beyond_ten(self):
+        """(1, 11) and (11, 1) collided under the undelimited form."""
+        assert grid_node_id(9, 9) == "J99"
+        assert grid_node_id(1, 11) == "J1_11"
+        assert grid_node_id(11, 1) == "J11_1"
+        assert grid_node_id(10, 0) == "J10_0"
+
+    @pytest.mark.parametrize("rows,cols", [(11, 11), (12, 12), (2, 12)])
+    def test_large_grid_builds_every_node_and_road(self, rows, cols):
+        network = build_grid_network(rows, cols)
+        assert len(network.intersections) == rows * cols
+        internal = 2 * (rows * (cols - 1) + cols * (rows - 1))
+        assert len(network.roads) == internal + 4 * (rows + cols)
+
 
 class TestNetworkQueries:
     def test_downstream_upstream(self, grid3x3):

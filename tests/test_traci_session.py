@@ -40,6 +40,13 @@ class TestTraciSession:
     def test_phase_count(self, session):
         assert session.getPhaseCount("J00") == 4
 
+    def test_batch_engine_rejected_at_construction(self):
+        """A session steps one replication; meso-vec only runs batched."""
+        with pytest.raises(ValueError, match="batch engine"):
+            TraciSession(
+                build_scenario("II", seed=3, rows=1, cols=1), engine="meso-vec"
+            )
+
     def test_queue_observation(self, session):
         for _ in range(30):
             session.simulationStep()
