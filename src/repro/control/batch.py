@@ -533,7 +533,6 @@ def _build_util_bp(
             "transition_duration",
             "alpha",
             "beta",
-            "mini_slot",
             "keep_margin",
         )
         if key in kwargs

@@ -33,7 +33,6 @@ def _make_util_bp(intersection: Intersection, **kwargs: Any) -> IntersectionCont
             "transition_duration",
             "alpha",
             "beta",
-            "mini_slot",
             "keep_margin",
         )
         if key in kwargs

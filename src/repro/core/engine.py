@@ -78,11 +78,8 @@ __all__ = [
     "register_batch_engine",
     "batch_engine_names",
     "has_batch_engine",
-    "batch_provider_module",
     "build_batch_engine",
     "register_batch_controller",
-    "batch_controller_names",
-    "has_batch_controller",
     "build_batch_controller",
 ]
 
@@ -108,7 +105,7 @@ class BatchControlArrays:
         as the per-replication observations report them).
     out_queues:
         ``q_{i'}(k)`` — ``(B, n_movements)`` outgoing-road queue seen
-        by each movement, under the engine's out-queue sensing mode.
+        by each movement, under the engine's spillback sensing.
     """
 
     time: float
@@ -397,11 +394,6 @@ def has_batch_engine(name: str) -> bool:
     return BATCH_ENGINES.has(name)
 
 
-def batch_provider_module(name: str) -> Optional[str]:
-    """The module whose import registers batch engine ``name`` (if known)."""
-    return BATCH_ENGINES.provider_module(name)
-
-
 def build_batch_engine(
     scenarios: Sequence["Scenario"], engine: str = "meso-vec"
 ) -> BatchEngine:
@@ -425,16 +417,6 @@ def register_batch_controller(
     controller of the same name and parameters.
     """
     BATCH_CONTROLLERS.register(name, builder)
-
-
-def batch_controller_names() -> tuple:
-    """All controller names with a batched implementation."""
-    return BATCH_CONTROLLERS.names()
-
-
-def has_batch_controller(name: str) -> bool:
-    """Whether controller ``name`` can decide whole batches at once."""
-    return BATCH_CONTROLLERS.has(name)
 
 
 def build_batch_controller(

@@ -46,6 +46,7 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.engine import register_engine
+from repro.meso.plant import SATURATION_RATE, SENSING_HORIZON, STARTUP_LOST
 from repro.metrics.aggregate import AggregateMetricsCollector
 from repro.metrics.utilization import UtilizationTracker
 from repro.model.arrivals import ArrivalSchedule, PoissonArrivals
@@ -54,7 +55,7 @@ from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.model.queues import QueueObservation
 from repro.model.routing import RouteSampler, TurningProbabilities
 from repro.util.rng import RngStreams
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["CountsSimulator"]
 
@@ -69,13 +70,10 @@ _Unit = Tuple[float, List[str], int]
 class CountsSimulator:
     """Counts-based store-and-forward simulation of a signalized network.
 
-    Accepts the same plant parameters as the reference
-    :class:`~repro.meso.simulator.MesoSimulator` (minus ``lane_policy``
-    — see the module docstring) and produces, under a shared seed, the
-    identical queue-count trajectory.
+    Takes the reference :class:`~repro.meso.simulator.MesoSimulator`'s
+    arguments minus ``lane_policy`` (see the module docstring) and
+    produces, under a shared seed, the identical queue-count trajectory.
     """
-
-    OUT_QUEUE_MODES = ("spillback", "halting", "occupancy")
 
     def __init__(
         self,
@@ -83,29 +81,10 @@ class CountsSimulator:
         demand: Mapping[str, ArrivalSchedule],
         turning: TurningProbabilities,
         seed: int = 0,
-        travel_time: Optional[float] = None,
-        startup_lost: float = 2.0,
-        sensing_horizon: float = 2.0,
-        saturation_headway: Optional[float] = 1.3,
-        out_queue_mode: str = "spillback",
     ):
         self.network = network
         self.time = 0.0
         self.collector = AggregateMetricsCollector()
-        if travel_time is not None:
-            check_non_negative("travel_time", travel_time)
-        check_non_negative("startup_lost", startup_lost)
-        self._startup_lost = startup_lost
-        check_non_negative("sensing_horizon", sensing_horizon)
-        self._sensing_horizon = sensing_horizon
-        if saturation_headway is not None:
-            check_positive("saturation_headway", saturation_headway)
-        if out_queue_mode not in self.OUT_QUEUE_MODES:
-            raise ValueError(
-                f"out_queue_mode must be one of {self.OUT_QUEUE_MODES}, "
-                f"got {out_queue_mode!r}"
-            )
-        self._out_queue_mode = out_queue_mode
 
         # Same stream layout and creation order as the reference engine,
         # so shared seeds yield identical draws.
@@ -131,11 +110,7 @@ class CountsSimulator:
             for road_id in network.roads
         }
         self._transit_time: Dict[str, float] = {
-            road_id: (
-                travel_time
-                if travel_time is not None
-                else road.free_flow_time
-            )
+            road_id: road.free_flow_time
             for road_id, road in network.roads.items()
         }
 
@@ -225,16 +200,13 @@ class CountsSimulator:
         self._finalized = False
 
         # -- precomputed serve/observe plans -------------------------------
-        saturation_rate = (
-            None if saturation_headway is None else 1.0 / saturation_headway
-        )
         # Per intersection: (node_id, position, intersection, tracker,
         # movement credit indices, {phase_index: (service_rate_sum,
         # [movement plan, ...])}, live count dict).  A movement plan
         # carries everything the inlined serve loop touches: (credit
         # index, count key, in_road, lane FIFO, out is exit, out road,
-        # out capacity, discharge rate, out transit time, out transit
-        # FIFO).
+        # out capacity, out transit time, out transit FIFO, out transit
+        # slot).
         self._serve_plan = []
         for position, (node_id, intersection) in enumerate(
             network.intersections.items()
@@ -253,11 +225,6 @@ class CountsSimulator:
                             out_is_exit,
                             m.out_road,
                             self._capacity[m.out_road],
-                            (
-                                m.service_rate
-                                if saturation_rate is None
-                                else saturation_rate
-                            ),
                             self._transit_time[m.out_road],
                             self._transit[m.out_road],
                             -1 if out_is_exit else self._road_slot[m.out_road],
@@ -335,11 +302,10 @@ class CountsSimulator:
         the way the reference engine's heap scan must.
         """
         now = self.time
-        deadline = now + self._sensing_horizon
+        deadline = now + SENSING_HORIZON
         occupancy = self._occupancy
         head_ready = self._head_ready
-        spillback = self._out_queue_mode == "spillback"
-        nothing_full = spillback and not self._full_roads
+        nothing_full = not self._full_roads
         trusted = QueueObservation.trusted
         result: Dict[str, QueueObservation] = {}
         for node_id, counts, sensing, out_static, zeros, out_caps in (
@@ -354,35 +320,15 @@ class CountsSimulator:
                         movement_queues[key_by_out[route[leg + 1]]] += 1
             if nothing_full:
                 out_queues = zeros
-            elif spillback:
+            else:
                 out_queues = {}
                 for road_id, cap, is_exit in out_static:
                     occ = 0 if is_exit else occupancy[road_id]
                     out_queues[road_id] = occ if occ >= cap else 0
-            else:
-                out_queues = {
-                    road_id: self._sensed_out_queue(road_id)
-                    for road_id, _, _ in out_static
-                }
             result[node_id] = trusted(
                 now, movement_queues, out_queues, out_caps
             )
         return result
-
-    def _sensed_out_queue(self, road_id: str) -> int:
-        """``q_{i'}`` as reported by the outgoing road's sensor."""
-        if self._is_exit[road_id]:
-            return 0  # exit roads are drained by the outside world
-        if self._out_queue_mode == "occupancy":
-            return self._occupancy[road_id]
-        if self._out_queue_mode == "halting":
-            return self.incoming_queue_total(road_id)
-        # "spillback": the road reads empty from the junction mouth
-        # until congestion backs up to it.
-        occupancy = self._occupancy[road_id]
-        if occupancy >= self._capacity[road_id]:
-            return occupancy
-        return 0
 
     # -- stepping ----------------------------------------------------------
 
@@ -438,7 +384,11 @@ class CountsSimulator:
         occupancy = self._occupancy
         full_roads = self._full_roads
         now = self.time
-        startup_lost = self._startup_lost
+        # Every lane discharges at the saturation rate, and at most one
+        # slot of unused service is banked: an idle or blocked movement
+        # must not burst beyond one slot's worth later.
+        accrual = SATURATION_RATE * dt
+        bank = accrual if accrual > 1.0 else 1.0
         queued_delta = 0
         left_delta = 0
         for (
@@ -469,7 +419,7 @@ class CountsSimulator:
             tracker.green_time += dt
             tracker.green_slots += 1
             tracker.service_capacity += max_service
-            if now - started[position] < startup_lost:
+            if now - started[position] < STARTUP_LOST:
                 # Start-up lost time: drivers are still reacting and
                 # accelerating; nothing crosses the stop line yet (the
                 # slot counts as wasted green, as in the reference).
@@ -485,13 +435,12 @@ class CountsSimulator:
                 out_is_exit,
                 out_road,
                 out_capacity,
-                rate,
                 out_transit_time,
                 out_transit,
                 out_slot,
             ) in movements:
                 queued = len(lane)
-                value = credit[index] + rate * dt
+                value = credit[index] + accrual
                 if out_is_exit:
                     if queued:
                         had_servable = True
@@ -533,12 +482,6 @@ class CountsSimulator:
                         if full_roads:
                             full_roads.discard(in_road)
                 served_total += limit
-                # Do not bank more than one slot of unused service: an
-                # idle or blocked movement must not burst beyond one
-                # slot's worth later.
-                bank = rate * dt
-                if bank < 1.0:
-                    bank = 1.0
                 credit[index] = value if value < bank else bank
             tracker.vehicles_served += served_total
             if served_total == 0 and not had_servable:

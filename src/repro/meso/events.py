@@ -84,7 +84,11 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.core.engine import register_engine
 from repro.meso.counts import CountsSimulator
+from repro.meso.plant import SATURATION_RATE, STARTUP_LOST
+from repro.model.arrivals import ArrivalSchedule
+from repro.model.network import Network
 from repro.model.phases import TRANSITION_PHASE_INDEX
+from repro.model.routing import TurningProbabilities
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -158,18 +162,26 @@ def _is_dyadic(value: float) -> bool:
 class EventCountsSimulator(CountsSimulator):
     """Event-driven counts simulator (see module docstring).
 
-    Accepts the same plant parameters as
-    :class:`~repro.meso.counts.CountsSimulator` and produces, under a
-    shared seed and a constant binary-exact mini-slot, the identical
-    trajectory — observations, occupancy, utilization books, metric
-    integrals — while skipping all idle work.
+    Takes :class:`~repro.meso.counts.CountsSimulator`'s arguments and
+    produces, under a shared seed and a constant binary-exact
+    mini-slot, the identical trajectory — observations, occupancy,
+    utilization books, metric integrals — while skipping all idle work.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self,
+        network: Network,
+        demand: Mapping[str, ArrivalSchedule],
+        turning: TurningProbabilities,
+        seed: int = 0,
+    ):
+        super().__init__(network, demand, turning, seed)
         self._calendar = EventCalendar()
-        #: Constant mini-slot, fixed by the first ``step`` call.
+        #: Constant mini-slot, fixed by the first ``step`` call, and
+        #: the per-slot service credit accrual and bank it implies.
         self._dt: Optional[float] = None
+        self._accrual = 0.0
+        self._bank = 0.0
         #: Slot index == number of steps taken (slot ``k`` starts at
         #: ``k * dt``, which the accumulated ``self.time`` equals
         #: exactly for dyadic ``dt``).
@@ -261,32 +273,22 @@ class EventCountsSimulator(CountsSimulator):
     def _phase_plan_dt(self, position: int, phase_index: int) -> tuple:
         """Cached per-(node, phase) plan with the constant ``dt`` folded in.
 
-        ``(max_service, max_service_is_dyadic, credit_replay,
-        movements)`` where ``credit_replay`` is ``[(credit index,
-        per-slot credit increment, bank), ...]`` and ``movements``
-        mirrors the parent's serve-plan tuples with ``rate * dt`` and
-        the bank precomputed: ``(credit index, count key, in_road,
-        lane, out_is_exit, out_road, out_capacity, credit increment,
-        bank, out_transit_time, out_transit FIFO, out_slot)``.
-        Computable only once ``dt`` is known, hence cached lazily.
+        ``(max_service, max_service_is_dyadic, credit indices,
+        movements)`` where ``movements`` are the parent's serve-plan
+        tuples.  Computable only once ``dt`` is known, hence cached
+        lazily.
         """
         cache = self._flush_plans[position]
         plan = cache.get(phase_index)
         if plan is None:
-            dt = self._dt
             rate_sum, movements = self._serve_plan[position][5][phase_index]
-            replay = []
-            folded = []
-            for movement in movements:
-                credit_increment = movement[7] * dt
-                bank = credit_increment if credit_increment > 1.0 else 1.0
-                if credit_increment != 0.0:
-                    replay.append((movement[0], credit_increment, bank))
-                folded.append(
-                    movement[:7] + (credit_increment, bank) + movement[8:]
-                )
-            max_service = rate_sum * dt
-            plan = (max_service, _is_dyadic(max_service), replay, folded)
+            max_service = rate_sum * self._dt
+            plan = (
+                max_service,
+                _is_dyadic(max_service),
+                [movement[0] for movement in movements],
+                movements,
+            )
             cache[phase_index] = plan
         return plan
 
@@ -334,13 +336,15 @@ class EventCountsSimulator(CountsSimulator):
             remaining = end_slot - first_served
             if remaining > 0:
                 credit = self._credit
-                for index, credit_increment, bank in replay_plan:
+                increment = self._accrual
+                bank = self._bank
+                for index in replay_plan:
                     value = credit[index]
                     if value == bank:
                         continue
                     left = remaining
                     while left > 0:
-                        total = value + credit_increment
+                        total = value + increment
                         value = total if total < bank else bank
                         if value == bank:
                             break
@@ -441,6 +445,8 @@ class EventCountsSimulator(CountsSimulator):
             raise RuntimeError("simulator already finalized")
         if self._dt is None:
             self._dt = dt
+            self._accrual = SATURATION_RATE * dt
+            self._bank = self._accrual if self._accrual > 1.0 else 1.0
             if _is_dyadic(dt):
                 self._startup_slots = self._startup_offset(dt)
                 self._draw_arrival_window()
@@ -539,11 +545,11 @@ class EventCountsSimulator(CountsSimulator):
     def _startup_offset(self, dt: float) -> int:
         """Slots from phase start until service can begin.
 
-        Smallest ``e`` with ``e * dt >= startup_lost`` — the parent's
-        per-slot ``now - started < startup_lost`` test in closed form
+        Smallest ``e`` with ``e * dt >= STARTUP_LOST`` — the parent's
+        per-slot ``now - started < STARTUP_LOST`` test in closed form
         (exact: both sides are dyadic).
         """
-        startup = self._startup_lost
+        startup = STARTUP_LOST
         e = int(startup / dt)
         while e * dt < startup:
             e += 1
@@ -567,7 +573,8 @@ class EventCountsSimulator(CountsSimulator):
         head_ready = self._head_ready
         calendar = self._calendar
         now = self.time
-        startup_lost = self._startup_lost
+        increment = self._accrual
+        bank = self._bank
         serve_plan = self._serve_plan
         queued_delta = 0
         left_delta = 0
@@ -580,7 +587,7 @@ class EventCountsSimulator(CountsSimulator):
             tracker.green_time += dt
             tracker.green_slots += 1
             tracker.service_capacity += max_service
-            if now - started[position] < startup_lost:
+            if now - started[position] < STARTUP_LOST:
                 tracker.wasted_green_slots += 1
                 continue
             served_total = 0
@@ -594,8 +601,6 @@ class EventCountsSimulator(CountsSimulator):
                 out_is_exit,
                 out_road,
                 out_capacity,
-                increment,
-                bank,
                 out_transit_time,
                 out_transit,
                 out_slot,

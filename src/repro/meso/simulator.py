@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Mapping, Optional, Tuple
+from typing import Deque, Dict, Mapping, Tuple
 
 from repro.core.engine import register_engine
+from repro.meso.plant import SATURATION_RATE, SENSING_HORIZON, STARTUP_LOST
 from repro.meso.road_state import RoadState
 from repro.meso.vehicle import MesoVehicle
 from repro.metrics.collector import MetricsCollector
@@ -34,7 +35,7 @@ from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.model.queues import QueueObservation
 from repro.model.routing import RouteSampler, TurningProbabilities
 from repro.util.rng import RngStreams
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["MesoSimulator"]
 
@@ -53,52 +54,17 @@ class MesoSimulator:
         Turning probabilities for route sampling (Table I style).
     seed:
         Base seed; all randomness derives from it deterministically.
-    travel_time:
-        Free-flow transit time override in seconds.  ``None`` uses each
-        road's ``length / speed_limit``; ``0`` gives the pure queuing
-        abstraction with immediate hops.
-    startup_lost:
-        Seconds of green at the start of every phase application during
-        which nothing is served — the start-up lost time of a real
-        (microscopic) queue discharge.  This is what makes frequent
-        phase switching costly beyond the amber itself.  Set to 0 for
-        the idealized queuing model.
-    sensing_horizon:
-        Look-ahead of the queue sensors in seconds: a vehicle still in
-        transit counts towards its movement's sensed queue once it is
-        within this many seconds of the stop line, mimicking the lane
-        coverage of a SUMO lane-area detector.  Set to 0 for a pure
-        stop-line point sensor.
-    saturation_headway:
-        Seconds between consecutive vehicles discharging over the stop
-        line of one lane under green (the plant's physical saturation
-        flow, ~1800 veh/h/lane for 2.0 s).  This is deliberately
-        *independent* of the movements' ``µ`` — the paper sets
-        ``µ = 1`` as the controller-side gain constant while the SUMO
-        plant discharges at its own physical rate.  ``None`` uses the
-        movements' ``µ`` directly (the idealized Sec. II-C plant).
-    out_queue_mode:
-        What the sensor on an *outgoing* road reports as ``q_{i'}``:
-
-        * ``"spillback"`` (default) — vehicles visible from the
-          junction mouth, i.e. the road reads 0 while it still absorbs
-          traffic and its occupancy once congestion backs up to the
-          junction.  This matches what the upstream signal head can
-          physically see and reproduces the paper's behaviour.
-        * ``"halting"`` — vehicles halted at the road's downstream
-          stop line (a TraCI edge halting-number sensor).
-        * ``"occupancy"`` — every vehicle on the road (the idealized
-          queuing model, where service puts vehicles directly into the
-          downstream queue).
     lane_policy:
         ``"dedicated"`` (default) gives every movement its own turning
         lane (the paper's assumption, no head-of-line blocking);
         ``"mixed"`` queues all movements of a road in one shared FIFO,
         so a head vehicle whose movement is red (or blocked) blocks
         everyone behind it — the Sec. IV-Q4 future-work scenario.
+
+    The rest of the plant (discharge, start-up, sensing, transit) is
+    fixed; see :mod:`repro.meso.plant`.
     """
 
-    OUT_QUEUE_MODES = ("spillback", "halting", "occupancy")
     LANE_POLICIES = ("dedicated", "mixed")
 
     def __init__(
@@ -107,32 +73,11 @@ class MesoSimulator:
         demand: Mapping[str, ArrivalSchedule],
         turning: TurningProbabilities,
         seed: int = 0,
-        travel_time: Optional[float] = None,
-        startup_lost: float = 2.0,
-        sensing_horizon: float = 2.0,
-        saturation_headway: Optional[float] = 1.3,
-        out_queue_mode: str = "spillback",
         lane_policy: str = "dedicated",
     ):
         self.network = network
         self.time = 0.0
         self.collector = MetricsCollector()
-        if travel_time is not None:
-            check_non_negative("travel_time", travel_time)
-        self._travel_time = travel_time
-        check_non_negative("startup_lost", startup_lost)
-        self._startup_lost = startup_lost
-        check_non_negative("sensing_horizon", sensing_horizon)
-        self._sensing_horizon = sensing_horizon
-        if saturation_headway is not None:
-            check_positive("saturation_headway", saturation_headway)
-        self._saturation_headway = saturation_headway
-        if out_queue_mode not in self.OUT_QUEUE_MODES:
-            raise ValueError(
-                f"out_queue_mode must be one of {self.OUT_QUEUE_MODES}, "
-                f"got {out_queue_mode!r}"
-            )
-        self._out_queue_mode = out_queue_mode
         if lane_policy not in self.LANE_POLICIES:
             raise ValueError(
                 f"lane_policy must be one of {self.LANE_POLICIES}, "
@@ -195,7 +140,7 @@ class MesoSimulator:
                 state = self._roads[in_road]
                 if in_road not in sensed_by_road:
                     sensed_by_road[in_road] = state.approaching(
-                        self.time, self._sensing_horizon
+                        self.time, SENSING_HORIZON
                     )
                     if state.mixed:
                         mixed_by_road[in_road] = state.mixed_counts()
@@ -209,8 +154,17 @@ class MesoSimulator:
             out_queues = {}
             out_capacities = {}
             for road_id in intersection.out_roads:
-                out_capacities[road_id] = self.network.roads[road_id].capacity
-                out_queues[road_id] = self._sensed_out_queue(road_id)
+                capacity = self.network.roads[road_id].capacity
+                out_capacities[road_id] = capacity
+                # Spillback sensing: the road reads empty from the
+                # junction mouth until congestion backs up to it; exit
+                # roads are drained by the outside world.
+                occupancy = (
+                    0
+                    if self.network.road_destination[road_id] == BOUNDARY
+                    else self._roads[road_id].occupancy
+                )
+                out_queues[road_id] = occupancy if occupancy >= capacity else 0
             result[node_id] = QueueObservation(
                 time=self.time,
                 movement_queues=movement_queues,
@@ -218,21 +172,6 @@ class MesoSimulator:
                 out_capacities=out_capacities,
             )
         return result
-
-    def _sensed_out_queue(self, road_id: str) -> int:
-        """``q_{i'}`` as reported by the outgoing road's sensor."""
-        if self.network.road_destination[road_id] == BOUNDARY:
-            return 0  # exit roads are drained by the outside world
-        if self._out_queue_mode == "occupancy":
-            return self._roads[road_id].occupancy
-        if self._out_queue_mode == "halting":
-            return self.incoming_queue_total(road_id)
-        # "spillback": the road reads empty from the junction mouth
-        # until congestion backs up to it.
-        occupancy = self._roads[road_id].occupancy
-        if occupancy >= self.network.roads[road_id].capacity:
-            return occupancy
-        return 0
 
     # -- stepping ----------------------------------------------------------
 
@@ -277,7 +216,7 @@ class MesoSimulator:
                 continue
             phase = intersection.phase_by_index(phase_index)
             green_age = self.time - self._phase_started[node_id]
-            if green_age < self._startup_lost:
+            if green_age < STARTUP_LOST:
                 # Start-up lost time: drivers are still reacting and
                 # accelerating; nothing crosses the stop line yet.
                 tracker.record_slot(
@@ -295,7 +234,7 @@ class MesoSimulator:
                 green_keys = frozenset(m.key for m in phase.movements)
                 for in_road in sorted({m.in_road for m in phase.movements}):
                     served, servable = self._serve_mixed_road(
-                        intersection, in_road, green_keys, dt
+                        in_road, green_keys, dt
                     )
                     served_total += served
                     had_servable = had_servable or servable
@@ -319,7 +258,7 @@ class MesoSimulator:
         servable = queued > 0 and space > 0
 
         key = movement.key
-        credit = self._credit.get(key, 0.0) + self._discharge_rate(movement) * dt
+        credit = self._credit.get(key, 0.0) + SATURATION_RATE * dt
         limit = int(min(credit, queued, space if space != math.inf else credit))
         for _ in range(limit):
             vehicle = in_state.pop_served(movement.out_road)
@@ -332,16 +271,16 @@ class MesoSimulator:
             else:
                 vehicle.advance()
                 out_state.enter_transit(
-                    vehicle, self.time + self._transit_time(movement.out_road)
+                    vehicle, self.time + out_state.road.free_flow_time
                 )
         credit -= limit
         # Do not bank more than one slot of unused service: an idle or
         # blocked movement must not burst beyond one slot's worth later.
-        self._credit[key] = min(credit, max(1.0, self._discharge_rate(movement) * dt))
+        self._credit[key] = min(credit, max(1.0, SATURATION_RATE * dt))
         return limit, servable
 
     def _serve_mixed_road(
-        self, intersection, in_road: str, green_keys: frozenset, dt: float
+        self, in_road: str, green_keys: frozenset, dt: float
     ) -> Tuple[int, bool]:
         """Serve a shared-FIFO road: only the head vehicle can move.
 
@@ -352,13 +291,7 @@ class MesoSimulator:
         state = self._roads[in_road]
         queue = state.mixed_queue
         credit_key = ("__mixed__", in_road)
-        head = queue[0] if queue else None
-        rate = self._discharge_rate(
-            intersection.movements[(in_road, head.next_road)]
-            if head is not None and (in_road, head.next_road) in intersection.movements
-            else next(iter(intersection.movements.values()))
-        )
-        credit = self._credit.get(credit_key, 0.0) + rate * dt
+        credit = self._credit.get(credit_key, 0.0) + SATURATION_RATE * dt
         served = 0
         servable = False
         while queue and credit >= 1.0:
@@ -385,21 +318,10 @@ class MesoSimulator:
             else:
                 vehicle.advance()
                 out_state.enter_transit(
-                    vehicle, self.time + self._transit_time(out_road)
+                    vehicle, self.time + out_state.road.free_flow_time
                 )
-        self._credit[credit_key] = min(credit, max(1.0, rate * dt))
+        self._credit[credit_key] = min(credit, max(1.0, SATURATION_RATE * dt))
         return served, servable
-
-    def _discharge_rate(self, movement) -> float:
-        """Vehicles per second the plant can discharge on one movement."""
-        if self._saturation_headway is None:
-            return movement.service_rate
-        return 1.0 / self._saturation_headway
-
-    def _transit_time(self, road_id: str) -> float:
-        if self._travel_time is not None:
-            return self._travel_time
-        return self.network.roads[road_id].free_flow_time
 
     def _inject(self, dt: float) -> None:
         for entry, process in self._arrivals.items():
@@ -425,7 +347,7 @@ class MesoSimulator:
                         vehicle.vehicle_id, self.time - generated_at
                     )
                 state.enter_transit(
-                    vehicle, self.time + self._transit_time(entry)
+                    vehicle, self.time + state.road.free_flow_time
                 )
 
     # -- termination and introspection --------------------------------------

@@ -52,13 +52,12 @@ included.
 utilization books, entered/left and the waiting-time integral), and
 replication results are independent of ``B`` — the parity suite in
 ``tests/test_engine_parity.py`` asserts both.  Like ``meso-counts`` it
-reports ``delay_mode="aggregate"`` and supports only the paper's
-default ``dedicated`` lane policy (``lane_policy="mixed"`` is
-rejected: shared-lane head-of-line blocking is inherently
-per-vehicle).  The batch steps on a *constant* mini-slot: ``dt`` is
-fixed by the first ``step`` call (the pulled-ahead arrival windows are
-drawn for that grid; a varying ``dt`` would consume draws a serial run
-would not have made).
+reports ``delay_mode="aggregate"`` and models only the paper's
+dedicated turning lanes (shared-lane head-of-line blocking is
+inherently per-vehicle; use ``meso``).  The batch steps on a
+*constant* mini-slot: ``dt`` is fixed by the first ``step`` call (the
+pulled-ahead arrival windows are drawn for that grid; a varying ``dt``
+would consume draws a serial run would not have made).
 """
 
 from __future__ import annotations
@@ -69,6 +68,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.engine import BatchControlArrays, register_batch_engine
+from repro.meso.plant import SATURATION_RATE, SENSING_HORIZON, STARTUP_LOST
 from repro.metrics.aggregate import BatchAggregateMetricsCollector
 from repro.metrics.collector import Summary
 from repro.metrics.utilization import UtilizationTracker
@@ -78,7 +78,7 @@ from repro.model.phases import TRANSITION_PHASE_INDEX
 from repro.model.queues import QueueObservation
 from repro.model.routing import RouteSampler, TurningProbabilities
 from repro.util.rng import RngStreams
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["BatchCountsSimulator"]
 
@@ -90,13 +90,10 @@ ARRIVAL_WINDOW = 128
 class BatchCountsSimulator:
     """``B`` independent counts-based replications stepped as arrays.
 
-    Accepts the same plant parameters as
-    :class:`~repro.meso.counts.CountsSimulator` with ``seeds`` (one per
-    replication) in place of ``seed``; see the module docstring for the
-    parity contract.
+    Takes :class:`~repro.meso.counts.CountsSimulator`'s arguments with
+    ``seeds`` (one per replication) in place of ``seed``; see the module
+    docstring for the parity contract.
     """
-
-    OUT_QUEUE_MODES = ("spillback", "halting", "occupancy")
 
     def __init__(
         self,
@@ -104,12 +101,6 @@ class BatchCountsSimulator:
         demand: Mapping[str, ArrivalSchedule],
         turning: TurningProbabilities,
         seeds: Sequence[int] = (0,),
-        travel_time: Optional[float] = None,
-        startup_lost: float = 2.0,
-        sensing_horizon: float = 2.0,
-        saturation_headway: Optional[float] = 1.3,
-        out_queue_mode: str = "spillback",
-        lane_policy: str = "dedicated",
     ):
         self.network = network
         self.time = 0.0
@@ -118,26 +109,6 @@ class BatchCountsSimulator:
             raise ValueError("seeds must name at least one replication")
         B = len(self.seeds)
         self.batch_size = B
-        if travel_time is not None:
-            check_non_negative("travel_time", travel_time)
-        check_non_negative("startup_lost", startup_lost)
-        self._startup_lost = startup_lost
-        check_non_negative("sensing_horizon", sensing_horizon)
-        self._sensing_horizon = sensing_horizon
-        if saturation_headway is not None:
-            check_positive("saturation_headway", saturation_headway)
-        if out_queue_mode not in self.OUT_QUEUE_MODES:
-            raise ValueError(
-                f"out_queue_mode must be one of {self.OUT_QUEUE_MODES}, "
-                f"got {out_queue_mode!r}"
-            )
-        self._out_queue_mode = out_queue_mode
-        if lane_policy != "dedicated":
-            raise ValueError(
-                f"meso-vec supports only lane_policy='dedicated', got "
-                f"{lane_policy!r} (the mixed shared-FIFO lane is inherently "
-                f"per-vehicle; use the 'meso' engine)"
-            )
 
         # -- per-replication RNG stacks (serial stream layout & order) ------
         entry_set = set(network.entry_roads())
@@ -180,12 +151,7 @@ class BatchCountsSimulator:
         )
         self._is_exit_road = is_exit_road
         self._transit_time = np.array(
-            [
-                travel_time
-                if travel_time is not None
-                else network.roads[r].free_flow_time
-                for r in road_ids
-            ],
+            [network.roads[r].free_flow_time for r in road_ids],
             dtype=np.float64,
         )
 
@@ -208,25 +174,15 @@ class BatchCountsSimulator:
         self._movement_keys = movement_keys
         self._node_of = np.array(node_of, dtype=np.int64)
         self._node_starts = np.array(node_starts[:-1], dtype=np.int64)
-        saturation_rate = (
-            None if saturation_headway is None else 1.0 / saturation_headway
-        )
         in_idx = np.empty(M, dtype=np.int64)
         out_idx = np.empty(M, dtype=np.int64)
-        rate = np.empty(M, dtype=np.float64)
         for n, inter in enumerate(self._intersections):
             for key, movement in inter.movements.items():
                 gid = gid_of[(n, key)]
                 in_idx[gid] = road_index[movement.in_road]
                 out_idx[gid] = road_index[movement.out_road]
-                rate[gid] = (
-                    movement.service_rate
-                    if saturation_rate is None
-                    else saturation_rate
-                )
         self._in_idx = in_idx
         self._out_idx = out_idx
-        self._rate = rate
         self._m_is_exit = is_exit_road[out_idx]
         self._exit_cols = np.nonzero(self._m_is_exit)[0]
         self._m_out_cap = self._caps[out_idx]
@@ -411,8 +367,8 @@ class BatchCountsSimulator:
         self._finalized = False
         # Constant-dt contract state + pulled-ahead arrival window.
         self._dt: Optional[float] = None
-        self._accrual: Optional[np.ndarray] = None
-        self._bank: Optional[np.ndarray] = None
+        self._accrual = 0.0
+        self._bank = 0.0
         self._window: Optional[np.ndarray] = None
         self._window_pos = 0
 
@@ -472,12 +428,9 @@ class BatchCountsSimulator:
     def observations(self) -> List[Dict[str, QueueObservation]]:
         """Per-replication ``Q(k)`` maps at the current time."""
         now = self.time
-        deadline = now + self._sensing_horizon
+        deadline = now + SENSING_HORIZON
         trusted = QueueObservation.trusted
-        spillback = self._out_queue_mode == "spillback"
-        if spillback:
-            full = self._occ >= self._caps[None, :]
-            rep_any_full = full.any(axis=1)
+        rep_any_full = (self._occ >= self._caps[None, :]).any(axis=1)
         movement_dicts: List[List[Dict[Tuple[str, str], int]]] = []
         for b in range(self.batch_size):
             row = self._queue_len[b].tolist()
@@ -503,42 +456,23 @@ class BatchCountsSimulator:
         for b in range(self.batch_size):
             per_node: Dict[str, QueueObservation] = {}
             rep_dicts = movement_dicts[b]
-            congested = spillback and bool(rep_any_full[b])
+            congested = bool(rep_any_full[b])
             occ_row = self._occ[b].tolist() if congested else None
             for n, (node_id, _, _, _, zeros, out_caps, out_static) in (
                 enumerate(self._obs_plan)
             ):
-                if spillback and not congested:
+                if not congested:
                     out_queues: Dict[str, int] = zeros
-                elif spillback:
+                else:
                     out_queues = {}
                     for road_id, ri, cap, road_is_exit in out_static:
                         occ = 0 if road_is_exit else occ_row[ri]
                         out_queues[road_id] = occ if occ >= cap else 0
-                else:
-                    out_queues = {
-                        road_id: self._sensed_out_queue(b, ri, road_is_exit)
-                        for road_id, ri, _, road_is_exit in out_static
-                    }
                 per_node[node_id] = trusted(
                     now, rep_dicts[n], out_queues, out_caps
                 )
             results.append(per_node)
         return results
-
-    def _sensed_out_queue(self, b: int, ri: int, road_is_exit: bool) -> int:
-        """``q_{i'}`` under the non-default out-queue sensing modes."""
-        if road_is_exit:
-            return 0
-        if self._out_queue_mode == "occupancy":
-            return int(self._occ[b, ri])
-        if self._out_queue_mode == "halting":
-            gids = self._gids_of_road.get(ri)
-            if gids is None:
-                return 0
-            return int(self._queue_len[b, gids].sum())
-        occupancy = int(self._occ[b, ri])
-        return occupancy if occupancy >= int(self._caps[ri]) else 0
 
     # -- batched controller façade -------------------------------------------
 
@@ -558,13 +492,14 @@ class BatchCountsSimulator:
 
         Movement-aligned array views of exactly what
         :meth:`observations` reports — the same sensed in-transit
-        augmentation of the stop-line queues and the same out-queue
-        sensing mode — without materializing B per-node dict networks.
+        augmentation of the stop-line queues and the same spillback
+        out-queue sensing — without materializing B per-node dict
+        networks.
         When nothing is inside the sensing horizon the queue array is a
         read-only zero-copy view of the engine's internal state.
         """
         now = self.time
-        deadline = now + self._sensing_horizon
+        deadline = now + SENSING_HORIZON
         sensed = self._head_ready <= deadline
         if sensed.any():
             queues = self._queue_len.copy()
@@ -582,19 +517,7 @@ class BatchCountsSimulator:
         else:
             queues = self._queue_len.view()
             queues.flags.writeable = False
-        if self._out_queue_mode == "spillback":
-            road_out = np.where(
-                self._occ >= self._caps[None, :], self._occ, 0
-            )
-        elif self._out_queue_mode == "occupancy":
-            # Exit-road occupancy is structurally zero (exit movements
-            # leave the network), matching the 0 the dict path reports.
-            road_out = self._occ
-        else:  # halting: queued vehicles at the road's own stop line
-            road_out = np.zeros_like(self._occ)
-            np.add.at(
-                road_out, (slice(None), self._in_idx), self._queue_len
-            )
+        road_out = np.where(self._occ >= self._caps[None, :], self._occ, 0)
         return BatchControlArrays(
             time=now,
             queues=queues,
@@ -620,8 +543,8 @@ class BatchCountsSimulator:
             raise RuntimeError("simulator already finalized")
         if self._dt is None:
             self._dt = float(dt)
-            self._accrual = self._rate * dt
-            self._bank = np.maximum(self._accrual, 1.0)
+            self._accrual = SATURATION_RATE * dt
+            self._bank = max(self._accrual, 1.0)
         elif dt != self._dt:
             raise ValueError(
                 f"meso-vec steps on a constant mini-slot: got dt={dt} after "
@@ -757,9 +680,7 @@ class BatchCountsSimulator:
         # After this wall-clock point no node can still be inside its
         # start-up window, so the eligibility mask equals the active
         # mask until the next switch.
-        self._startup_until = float(
-            self._phase_started.max() + self._startup_lost
-        )
+        self._startup_until = float(self._phase_started.max() + STARTUP_LOST)
         # Shared-pattern compression: when every replication shows the
         # same (all-green) pattern — open-loop plans, fixed-time drives,
         # the CI bench — the eligible set is one column subset shared
@@ -773,8 +694,6 @@ class BatchCountsSimulator:
             cols = np.nonzero(self._c_active[0])[0]
             if len(cols):
                 self._c_cols = cols
-                self._cc_accrual = self._accrual[cols]
-                self._cc_bank = self._bank[cols]
                 self._cc_out_cap = self._m_out_cap[cols]
                 self._cc_out_idx = self._out_idx[cols]
                 self._cc_in_idx = self._in_idx[cols]
@@ -809,7 +728,7 @@ class BatchCountsSimulator:
             serving = green
             eligible = self._c_active
         else:
-            in_startup = (now - self._phase_started) < self._startup_lost
+            in_startup = (now - self._phase_started) < STARTUP_LOST
             serving = green & ~in_startup
             self._wasted_green_slots += green & in_startup
             eligible = self._c_active & ~in_startup[:, node_of]
@@ -888,9 +807,7 @@ class BatchCountsSimulator:
         queue_len = self._queue_len
         queued = queue_len[:, cols]
         credit_cols = self._credit[:, cols]
-        live = (queued > 0).any(axis=0) | (
-            credit_cols < self._cc_bank
-        ).any(axis=0)
+        live = (queued > 0).any(axis=0) | (credit_cols < self._bank).any(axis=0)
         if not live.any():
             # Nothing queued, every credit saturated: every green node
             # wastes its slot (reference: served 0, nothing servable).
@@ -902,9 +819,8 @@ class BatchCountsSimulator:
             queued = queued[:, sub]
             credit_cols = credit_cols[:, sub]
         cols2 = cols if full_width else cols[sub]
-        accrual = self._cc_accrual[sub]
         nonexit = self._cc_nonexit[sub]
-        value = credit_cols + accrual
+        value = credit_cols + self._accrual
         bound = np.minimum(value, queued)
         space = self._cc_out_cap[sub][None, :] - occ[:, self._cc_out_idx[sub]]
         if (nonexit[None, :] & (space < bound)).any():
@@ -919,9 +835,7 @@ class BatchCountsSimulator:
             ne = nonexit[sl]
             if ne.any():
                 np.add.at(occ, (sb[ne], out_idx2[sl[ne]]), vals[ne])
-        self._credit[:, cols2] = np.minimum(
-            value - limit, self._cc_bank[sub]
-        )
+        self._credit[:, cols2] = np.minimum(value - limit, self._bank)
         node_of_cols2 = self._cc_node_of[sub]
         served_node = np.zeros((B, N), dtype=np.int64)
         if len(sb):

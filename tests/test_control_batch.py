@@ -30,10 +30,9 @@ from repro.control.batch import (
 )
 from repro.control.factory import CONTROLLER_NAMES, make_network_controller
 from repro.core.engine import (
-    batch_controller_names,
+    BATCH_CONTROLLERS,
     build_batch_controller,
     build_batch_engine,
-    has_batch_controller,
 )
 from repro.model.grid import build_grid_network
 from repro.scenarios import build_named_scenario
@@ -113,9 +112,7 @@ class TestDecisionBatchIndependence:
 
 class TestControllerPlumbing:
     def test_registry_names(self):
-        assert set(batch_controller_names()) >= set(CONTROLLER_NAMES)
-        for name in CONTROLLER_NAMES:
-            assert has_batch_controller(name)
+        assert set(BATCH_CONTROLLERS.names()) >= set(CONTROLLER_NAMES)
 
     def test_unknown_name_rejected(self):
         network = build_grid_network(1, 1)

@@ -69,3 +69,21 @@ class TestMakeNetworkController:
         net_ctrl = make_network_controller("util-bp", grid3x3)
         instances = list(net_ctrl.controllers.values())
         assert len(set(map(id, instances))) == len(instances)
+
+
+@pytest.mark.parametrize("engine", ["meso-counts", "meso-vec"])
+def test_util_bp_rejects_mini_slot_parameter(engine):
+    # The runner's ``mini_slot`` sets the control cadence; as a
+    # controller parameter it would be a silent no-op that still forks
+    # the spec hash.
+    from repro.experiments.runner import run_scenario
+    from repro.scenarios import build_named_scenario
+
+    with pytest.raises(TypeError, match="mini_slot"):
+        run_scenario(
+            build_named_scenario("steady-3x3", seed=1),
+            controller="util-bp",
+            controller_params={"mini_slot": 2.0},
+            engine=engine,
+            duration=10.0,
+        )

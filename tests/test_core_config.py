@@ -11,7 +11,6 @@ class TestUtilBpConfig:
         assert config.transition_duration == 4.0
         assert config.alpha == -1.0
         assert config.beta == -2.0
-        assert config.mini_slot == 1.0
         assert config.keep_margin == 0.0
 
     def test_paper_ordering_eq9(self):
@@ -37,10 +36,6 @@ class TestUtilBpConfig:
     def test_bad_transition_rejected(self):
         with pytest.raises(ValueError):
             UtilBpConfig(transition_duration=0.0)
-
-    def test_bad_mini_slot_rejected(self):
-        with pytest.raises(ValueError):
-            UtilBpConfig(mini_slot=-1.0)
 
     def test_negative_keep_margin_rejected(self):
         with pytest.raises(ValueError):

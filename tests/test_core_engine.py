@@ -130,7 +130,6 @@ class TestBatchRegistry:
         from repro.core.engine import (
             BatchEngine,
             batch_engine_names,
-            batch_provider_module,
             build_batch_engine,
             has_batch_engine,
         )
@@ -138,7 +137,7 @@ class TestBatchRegistry:
         assert has_batch_engine("meso-vec")
         assert not has_batch_engine("meso")
         assert "meso-vec" in batch_engine_names()
-        assert batch_provider_module("meso-vec") == "repro.meso.vectorized"
+        assert provider_module("meso-vec") == "repro.meso.vectorized"
         scenarios = [build_scenario("I", seed=s) for s in (1, 2, 3)]
         sim = build_batch_engine(scenarios, "meso-vec")
         assert isinstance(sim, BatchEngine)

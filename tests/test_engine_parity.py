@@ -438,19 +438,6 @@ class TestBatchRunner:
             )
             assert result == single
 
-    def test_mixed_lane_policy_rejected(self):
-        from repro.meso.vectorized import BatchCountsSimulator
-
-        scenario = build_named_scenario("steady-3x3", seed=1)
-        with pytest.raises(ValueError, match="mixed"):
-            BatchCountsSimulator(
-                network=scenario.network,
-                demand=scenario.demand,
-                turning=scenario.turning,
-                seeds=(1,),
-                lane_policy="mixed",
-            )
-
     def test_constant_mini_slot_contract(self):
         from repro.meso.vectorized import BatchCountsSimulator
 

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.scenarios.patterns import TURNING
+from repro.meso.plant import (
+    SATURATION_HEADWAY,
+    SATURATION_RATE,
+    SENSING_HORIZON,
+    STARTUP_LOST,
+)
 from repro.meso.road_state import RoadState
 from repro.meso.simulator import MesoSimulator
 from repro.meso.vehicle import MesoVehicle
@@ -150,20 +156,51 @@ class TestMesoSimulator:
             assert obs.out_queues[road_id] == 0  # 1x1 grid: all exits
 
     def test_sensing_horizon_sees_approaching(self):
-        sim = make_sim(rate=1.0, seed=8, sensing_horizon=1e6)
-        sim.step(1.0, {"J00": 0})
-        sim.step(1.0, {"J00": 0})
-        obs = sim.observations()["J00"]
-        assert sum(obs.movement_queues.values()) > 0
+        # One vehicle rolling towards J00: invisible to the sensors until
+        # it is within the horizon of the stop line, counted from then on
+        # while still in transit.
+        network = build_grid_network(1, 1)
+        road = network.roads["IN:W@J00"]
+        sim = MesoSimulator(network, {}, TURNING)
+        state = sim._roads[road.road_id]
+        vehicle = MesoVehicle(0, [road.road_id, "OUT:E@J00"])
+        state.enter_transit(vehicle, ready_time=road.free_flow_time)
+
+        def sensed():
+            return sum(sim.observations()["J00"].movement_queues.values())
+
+        while sim.time + SENSING_HORIZON < road.free_flow_time:
+            assert sensed() == 0
+            sim.step(1.0, {"J00": 0})
+        assert sim.time < road.free_flow_time  # still rolling
+        assert sensed() == 1
+        assert state.queue_length("OUT:E@J00") == 0
+
+    def test_plant_constants_are_the_papers(self):
+        # The SUMO plant of the paper's evaluation; every meso engine
+        # reads these, so they stay bit-exact with each other.
+        assert (STARTUP_LOST, SENSING_HORIZON, SATURATION_HEADWAY) == (
+            2.0,
+            2.0,
+            1.3,
+        )
+        assert SATURATION_RATE == 1.0 / SATURATION_HEADWAY
 
     def test_startup_lost_time_delays_service(self):
-        slow = make_sim(rate=0.5, seed=9, startup_lost=5.0)
-        fast = make_sim(rate=0.5, seed=9, startup_lost=0.0)
-        # Alternate phases every 8 s: the 5 s start-up eats most green.
-        for sim in (slow, fast):
-            for k in range(400):
-                sim.step(1.0, {"J00": (k // 8) % 4 + 1})
-        assert slow.collector.vehicles_left < fast.collector.vehicles_left
+        # A queue waits under amber, then gets green: nothing crosses the
+        # stop line for the first STARTUP_LOST seconds, then it discharges.
+        sim = make_sim(rate=0.5, seed=9)
+        for _ in range(60):
+            sim.step(1.0, {"J00": 0})
+        green = {"J00": 3}
+        phase = sim.network.intersections["J00"].phase_by_index(3)
+        assert sum(sim.movement_queue(*m.key) for m in phase.movements) > 0
+        for _ in range(int(STARTUP_LOST)):
+            sim.step(1.0, green)
+            assert sim.collector.vehicles_left == 0
+        for _ in range(5):
+            sim.step(1.0, green)
+        assert sim.collector.vehicles_left > 0
 
     def test_spillback_mode_reports_full_roads(self):
         network = build_grid_network(1, 2, capacity=8)
@@ -189,10 +226,6 @@ class TestMesoSimulator:
                 {"OUT:N@J00": ArrivalSchedule.constant(1.0)},
                 TURNING,
             )
-
-    def test_unknown_out_queue_mode_rejected(self):
-        with pytest.raises(ValueError):
-            make_sim(out_queue_mode="bogus")
 
     def test_step_after_finalize_rejected(self):
         sim = make_sim()

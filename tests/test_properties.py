@@ -196,3 +196,64 @@ class TestUtilProperties:
         for i, v in enumerate(values):
             series.append(float(i), v)
         assert min(values) - 1e-6 <= series.mean() <= max(values) + 1e-6
+
+
+def _conserved_run(scenario, engine, duration):
+    """A util-bp run that checks vehicle conservation after every step.
+
+    ``entered`` counts every generated vehicle: those admitted to the
+    network plus those still gated outside a full entry road (which
+    ``finalize`` registers as entered).  ``in_network`` is the sum of
+    road occupancies, not the engine's own counter.
+    """
+    from repro.control.factory import make_network_controller
+    from repro.core.engine import build_engine
+
+    sim = build_engine(scenario, engine)
+    controller = make_network_controller("util-bp", scenario.network)
+    roads = list(scenario.network.roads)
+    for step in range(int(duration)):
+        sim.step(1.0, controller.decide(sim.observations()))
+        backlog = sim.backlog_size()
+        entered = sim.collector.vehicles_entered + backlog
+        in_network = sum(sim.road_occupancy(r) for r in roads)
+        assert entered == (
+            sim.collector.vehicles_left + in_network + backlog
+        ), (engine, step)
+    sim.finalize()
+    summary = sim.collector.summary(duration)
+    assert summary.vehicles_entered == (
+        summary.vehicles_left + sim.vehicles_in_network() + sim.backlog_size()
+    ), engine
+    return summary
+
+
+class TestCrossEngineConservation:
+    @given(
+        rows=st.integers(min_value=1, max_value=4),
+        cols=st.integers(min_value=1, max_value=4),
+        load=st.floats(min_value=0.1, max_value=1.6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_entered_equals_left_plus_inside_plus_backlog(
+        self, rows, cols, load, seed
+    ):
+        from repro.experiments.runner import run_scenario
+        from repro.scenarios import build_named_scenario
+
+        duration = 120.0
+        scenario = build_named_scenario(
+            f"steady-{rows}x{cols}", seed=seed, load=load
+        )
+        summaries = {
+            engine: _conserved_run(scenario, engine, duration)
+            for engine in ("meso", "meso-counts", "meso-events")
+        }
+        vec = run_scenario(
+            scenario, controller="util-bp", engine="meso-vec", duration=duration
+        )
+        assert vec.summary.vehicles_entered == (
+            vec.summary.vehicles_left + vec.vehicles_in_network + vec.backlog
+        )
+        assert summaries["meso-counts"] == summaries["meso-events"] == vec.summary
