@@ -51,6 +51,11 @@ class IntersectionController(ABC):
                 f"intersection {intersection.node_id} has no control phases"
             )
         self.intersection = intersection
+        #: Every index :meth:`_record` accepts: the transition phase and
+        #: the intersection's control phases.
+        self._valid_indices = frozenset(
+            [TRANSITION, *(phase.index for phase in intersection.phases)]
+        )
         self._current: int = TRANSITION
 
     @property
@@ -73,8 +78,10 @@ class IntersectionController(ABC):
 
     def _record(self, phase_index: int) -> int:
         """Validate and remember a decision; returns it for chaining."""
-        if phase_index != TRANSITION:
-            self.intersection.phase_by_index(phase_index)  # raises if unknown
+        if phase_index not in self._valid_indices:
+            raise KeyError(
+                f"no phase c{phase_index} at {self.intersection.node_id}"
+            )
         self._current = phase_index
         return phase_index
 

@@ -23,6 +23,12 @@ are *bit-for-bit* equivalent to mapping the scalar function over every
 floating-point evaluation order of every sum and product is preserved
 (phase sums accumulate left-to-right in declaration order), so batched
 decisions never diverge from serial ones by rounding.
+
+The scalar functions are the readable reference of Eqs. 4-12.  Neither
+controller calls them on its hot path: the single-pass
+:class:`~repro.core.util_bp.UtilBpController` and the ``*_array``
+kernels each evaluate the same expressions in the same order, and the
+tests hold both to Algorithm 1 written on these functions.
 """
 
 from __future__ import annotations

@@ -25,21 +25,35 @@ between three cases:
 
 All inputs — ``Q(k)``, ``C``, ``c(k-1)``, ``t_k`` — are local to the
 intersection, preserving back-pressure's decentralized character.
+
+The controller runs at every mini-slot of every intersection, so
+:meth:`UtilBpController.decide` does Algorithm 1's work in a single
+pass.  The phase tables — each phase's index and its
+``((in_road, out_road), out_road, service_rate)`` links in declaration
+order — are built once at construction.  Each call computes ``W*``
+once per observation and evaluates each link's Eq. 8 gain at most
+once, memoized for the call: Case 2, the Case 3 ``g_max`` ranking and
+the Case 3 total-gain sums all read the same gains.  The floating-point
+expressions and their evaluation order are exactly those of the
+:mod:`repro.core.pressure` functions, which the tests use as the
+readable reference, so decisions are bit-identical to Algorithm 1
+written on Eqs. 8-12.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.control.base import IntersectionController, TRANSITION
 from repro.core.config import UtilBpConfig
-from repro.core.pressure import keep_threshold, max_link_gain, phase_gain
 from repro.model.intersection import Intersection
-from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
 
 __all__ = ["UtilBpController"]
+
+#: One link ``L_i^{i'}`` of a phase: ``((in_road, out_road), out_road, mu)``.
+_Link = Tuple[Tuple[str, str], str, float]
 
 
 class UtilBpController(IntersectionController):
@@ -61,6 +75,22 @@ class UtilBpController(IntersectionController):
     ):
         super().__init__(intersection)
         self.config = config or UtilBpConfig()
+        # UtilBpConfig guarantees alpha, beta < 0 (Eq. 8's premise).
+        self._alpha = self.config.alpha
+        self._beta = self.config.beta
+        self._keep_margin = self.config.keep_margin
+        #: ``(index, links)`` per control phase, in declaration order.
+        self._phases: Tuple[Tuple[int, Tuple[_Link, ...]], ...] = tuple(
+            (
+                phase.index,
+                tuple(
+                    (m.key, m.out_road, m.service_rate)
+                    for m in phase.movements
+                ),
+            )
+            for phase in intersection.phases
+        )
+        self._links_of: Dict[int, Tuple[_Link, ...]] = dict(self._phases)
         #: Global variable ``t_{Delta k}`` of Algorithm 1 — the expiry
         #: time of the running transition phase.
         self._transition_until = -math.inf
@@ -79,61 +109,121 @@ class UtilBpController(IntersectionController):
 
         # Case 1 (lines 1-2): transition phase still running.
         if previous == TRANSITION and t_k < self._transition_until:
-            return self._record(TRANSITION)
+            return TRANSITION
+
+        w_star = float(obs.max_capacity())  # W*, Eq. 7
+        memo: Dict[Tuple[str, str], float] = {}
 
         # Case 2 (lines 3-4): keep the current control phase while its
-        # best link stays above the threshold g*(k).
+        # best link g_max (Eq. 11) stays above the threshold g*(k)
+        # (Eq. 12, relaxed by keep_margin).
         if previous != TRANSITION:
-            current_phase = self.intersection.phase_by_index(previous)
-            g_max, l_max = max_link_gain(
-                current_phase, obs, self.config.alpha, self.config.beta
-            )
-            threshold = keep_threshold(obs, l_max)
-            threshold -= self.config.keep_margin * l_max.service_rate
+            links = self._links_of[previous]
+            gains = self._gains(links, obs, w_star, memo)
+            g_max = max(gains)  # first maximum = declaration-order arg-max
+            rate = links[gains.index(g_max)][2]
+            threshold = w_star * rate
+            threshold -= self._keep_margin * rate
             if g_max > threshold:
-                return self._record(previous)
+                return previous
 
         # Case 3 (lines 5-17): select a new control phase.
-        selected = self._select_phase(obs)
+        selected = self._select_phase(obs, w_star, memo, previous)
         if selected == previous or previous == TRANSITION:
             # Lines 12-13: same phase, or an expired transition phase.
-            return self._record(selected)
+            self._current = selected
+            return selected
         # Lines 14-16: different phase — clear the junction first.
         self._transition_until = t_k + self.config.transition_duration
-        return self._record(TRANSITION)
+        self._current = TRANSITION
+        return TRANSITION
 
-    def _select_phase(self, obs: QueueObservation) -> int:
+    def _select_phase(
+        self,
+        obs: QueueObservation,
+        w_star: float,
+        memo: Dict[Tuple[str, str], float],
+        previous: int,
+    ) -> int:
         """Lines 6-11: pick ``c'`` by utilization-aware gain ranking."""
-        alpha, beta = self.config.alpha, self.config.beta
-        ranked: List[Tuple[Phase, float]] = []
+        alpha = self._alpha
+        ranked: List[Tuple[int, List[float], float]] = []
         best_overall = -math.inf
-        for phase in self.intersection.phases:
-            g_max, _ = max_link_gain(phase, obs, alpha, beta)
-            ranked.append((phase, g_max))
+        for index, links in self._phases:
+            gains = self._gains(links, obs, w_star, memo)
+            g_max = max(gains)
+            ranked.append((index, gains, g_max))
             best_overall = max(best_overall, g_max)
 
         if best_overall > alpha:
             # Lines 7-8: among phases guaranteeing some utilization,
-            # take the highest *total* gain (best effort for stability).
-            candidates = [phase for phase, g_max in ranked if g_max > alpha]
+            # take the highest *total* gain (Eq. 10; best effort for
+            # stability).
             scores = [
-                (phase_gain(phase, obs, alpha, beta), phase)
-                for phase in candidates
+                (index, sum(gains))
+                for index, gains, g_max in ranked
+                if g_max > alpha
             ]
         else:
             # Line 10: utilization will be low regardless; fall back to
             # the best single link gain.
-            scores = [(g_max, phase) for phase, g_max in ranked]
+            scores = [(index, g_max) for index, _, g_max in ranked]
         # Deterministic tie-break: on equal scores prefer the running
         # phase (a pointless switch would only buy an amber), then the
         # lowest phase index.
-        def rank(item: Tuple[float, Phase]) -> Tuple[float, int, int]:
-            """Score a candidate phase for the Eq.-11/12 arg-max."""
-            score, phase = item
-            return (-score, 0 if phase.index == self._current else 1, phase.index)
+        selected, _ = min(
+            scores, key=lambda item: (-item[1], item[0] != previous, item[0])
+        )
+        return selected
 
-        scores.sort(key=rank)
-        return scores[0][1].index
+    def _gains(
+        self,
+        links: Tuple[_Link, ...],
+        obs: QueueObservation,
+        w_star: float,
+        memo: Dict[Tuple[str, str], float],
+    ) -> List[float]:
+        """Eq. 8 for each of ``links``, each evaluated at most once per call.
+
+        ``beta`` if the outgoing road is full, else ``alpha`` if the
+        movement queue is empty, else ``(b_i^{i'} - b_{i'} + W*) mu``
+        with the identity pressure of Eq. 4.
+        """
+        movement_queues = obs.movement_queues
+        out_queues = obs.out_queues
+        capacities = obs.out_capacities
+        gains = []
+        for key, out_road, rate in links:
+            gain = memo.get(key)
+            if gain is None:
+                try:
+                    q_out = int(out_queues[out_road])
+                except KeyError:
+                    raise KeyError(
+                        f"no outgoing queue recorded for road {out_road!r}"
+                    ) from None
+                try:
+                    capacity = int(capacities[out_road])
+                except KeyError:
+                    raise KeyError(
+                        f"no capacity recorded for road {out_road!r}"
+                    ) from None
+                if q_out >= capacity:
+                    gain = self._beta
+                else:
+                    q_move = int(movement_queues.get(key, 0))
+                    if q_move == 0:
+                        gain = self._alpha
+                    elif q_move < 0 or q_out < 0:
+                        bad = q_move if q_move < 0 else q_out
+                        raise ValueError(
+                            f"queue length must be >= 0, got {bad}"
+                        )
+                    else:
+                        gain = (float(q_move) - float(q_out) + w_star) * rate
+                memo[key] = gain
+            gains.append(gain)
+        return gains
 
     # -- introspection helpers (used by tests and examples) ----------------
 

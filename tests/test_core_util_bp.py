@@ -1,11 +1,20 @@
 """Tests for repro.core.util_bp — Algorithm 1, case by case."""
 
+import re
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.control.base import TRANSITION
 from repro.core.config import UtilBpConfig
 from repro.core.util_bp import UtilBpController
+from repro.model.grid import build_grid_network
+from repro.model.phases import Phase
+from repro.model.queues import QueueObservation
 from tests.conftest import make_observation
+from tests.reference_util_bp import ReferenceUtilBpController
 
 
 @pytest.fixture
@@ -221,3 +230,143 @@ class TestWorkConservation:
             assert decision != TRANSITION
             phase = intersection.phase_by_index(decision)
             assert phase.serves(servable.in_road, servable.out_road)
+
+
+# -- the single-pass decide against the Eq. 4-12 reference -------------------
+
+#: Queue values small enough that equal gains (and equal phase totals)
+#: are common; zeros are weighted up so the alpha case shows often.
+_QUEUES = st.sampled_from([0, 0, 0, 1, 2, 3, 5])
+#: Outgoing capacities and queues: with W in {3, 5, 120}, the out-queue
+#: draws below include full (q = W), over-full and free roads.
+_CAPACITIES = st.sampled_from([3, 5, 120])
+_OUT_QUEUES = st.sampled_from([0, 0, 1, 2, 3, 5, 120])
+#: Time increments: mini-slots of 1 s plus steps that land exactly on,
+#: just before and past a transition timer's expiry.
+_STEPS = st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0, 4.0])
+
+_CONFIGS = st.builds(
+    lambda gains, keep_margin, transition_duration: UtilBpConfig(
+        transition_duration=transition_duration,
+        alpha=gains[0],
+        beta=gains[1],
+        keep_margin=keep_margin,
+    ),
+    # (alpha, beta): the paper's beta < alpha, the reverse, and equal.
+    gains=st.sampled_from([(-1.0, -2.0), (-2.0, -1.0), (-1.0, -1.0)]),
+    keep_margin=st.sampled_from([0.0, 0.0, 1.0, 2.5]),
+    transition_duration=st.sampled_from([1.0, 4.0]),
+)
+
+
+@st.composite
+def _observation_sequences(draw, intersection):
+    """Observations of ``intersection`` at strictly increasing times."""
+    capacities = {road: draw(_CAPACITIES) for road in intersection.out_roads}
+    sequence = []
+    time = 0.0
+    for _ in range(draw(st.integers(min_value=1, max_value=25))):
+        sequence.append(
+            QueueObservation(
+                time=time,
+                movement_queues={
+                    key: draw(_QUEUES) for key in intersection.movements
+                },
+                out_queues={
+                    road: draw(_OUT_QUEUES) for road in intersection.out_roads
+                },
+                out_capacities=capacities,
+            )
+        )
+        time += draw(_STEPS)
+    return sequence
+
+
+def _overlapping_variant(intersection):
+    """The Fig. 1 intersection with mixed service rates and a phase c5
+    sharing links with c1 and c2, declared out of index order."""
+    rates = (0.5, 1.0, 1.5, 2.0)
+    movements = {
+        key: replace(movement, service_rate=rates[n % len(rates)])
+        for n, (key, movement) in enumerate(intersection.movements.items())
+    }
+    phases = {
+        phase.index: Phase(
+            phase.index, tuple(movements[m.key] for m in phase.movements)
+        )
+        for phase in intersection.phases
+    }
+    shared = Phase(5, phases[1].movements[:2] + phases[2].movements[:1])
+    return replace(
+        intersection,
+        movements=movements,
+        phases=[shared, phases[4], phases[1], phases[3], phases[2]],
+    )
+
+
+class TestMatchesReference:
+    """``decide`` is bit-identical to Algorithm 1 on Eqs. 8-12."""
+
+    @pytest.fixture(scope="class")
+    def intersections(self):
+        standard = build_grid_network(1, 1).intersections["J00"]
+        return (standard, _overlapping_variant(standard))
+
+    @given(data=st.data(), config=_CONFIGS, variant=st.sampled_from([0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_decisions_and_timers(self, intersections, data, config, variant):
+        intersection = intersections[variant]
+        fast = UtilBpController(intersection, config)
+        reference = ReferenceUtilBpController(intersection, config)
+        for obs in data.draw(_observation_sequences(intersection)):
+            assert fast.decide(obs) == reference.decide(obs)
+            assert fast.current_phase == reference.current_phase
+            assert fast.transition_remaining(obs.time) == (
+                reference.transition_remaining(obs.time)
+            )
+
+
+class TestBadObservations:
+    """Malformed ``Q(k)`` fails loudly, as the Eq. 4-12 functions do."""
+
+    def _trusted(self, intersection, **overrides):
+        fields = {
+            "time": 0.0,
+            "movement_queues": {key: 0 for key in intersection.movements},
+            "out_queues": {road: 0 for road in intersection.out_roads},
+            "out_capacities": {
+                road_id: road.capacity
+                for road_id, road in intersection.out_roads.items()
+            },
+        }
+        fields.update(overrides)
+        return QueueObservation.trusted(**fields)
+
+    def test_negative_movement_queue(self, intersection, controller):
+        m = phase_movements(intersection, 1)[0]
+        queues = {key: 0 for key in intersection.movements}
+        queues[m.key] = -1
+        obs = self._trusted(intersection, movement_queues=queues)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            controller.decide(obs)
+
+    def test_missing_out_queue_names_road(self, intersection, controller):
+        road = phase_movements(intersection, 1)[0].out_road
+        outs = {r: 0 for r in intersection.out_roads if r != road}
+        obs = self._trusted(intersection, out_queues=outs)
+        with pytest.raises(KeyError, match=re.escape(road)):
+            controller.decide(obs)
+
+    def test_missing_capacity_names_road(self, intersection, controller):
+        road = phase_movements(intersection, 1)[0].out_road
+        capacities = {
+            r: x.capacity for r, x in intersection.out_roads.items() if r != road
+        }
+        obs = self._trusted(intersection, out_capacities=capacities)
+        with pytest.raises(KeyError, match=re.escape(road)):
+            controller.decide(obs)
+
+    def test_no_capacities(self, intersection, controller):
+        obs = self._trusted(intersection, out_capacities={})
+        with pytest.raises(ValueError, match="no outgoing capacities"):
+            controller.decide(obs)
