@@ -4,9 +4,7 @@ One pytest-benchmark case per (catalog entry, mesoscopic engine): warm
 the network up, then measure closed-loop mini-slots per second under
 UTIL-BP.  Comparing the engine columns of the printed matrix shows
 where each backend pays off (``meso-counts`` everywhere over ``meso``,
-increasingly so on larger grids; ``meso-events`` pulls further ahead
-the lighter the load, since its calendar skips idle slots entirely;
-``meso-vec`` runs here as a batch of
+increasingly so on larger grids; ``meso-vec`` runs here as a batch of
 one under the batched util-bp kernel, as the runner drives a single
 run of it, so this matrix exposes its per-replication overhead — its
 win, batching many seeds per step, is measured by
@@ -39,7 +37,7 @@ from repro.scenarios import build_named_scenario, scenario_names
 #: the steady-state step cost (not the empty-network cost) is timed.
 WARMUP_STEPS = 90
 
-ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec")
+ENGINES = ("meso", "meso-counts", "meso-vec")
 
 
 def _closed_loop(scenario, engine):
@@ -98,9 +96,4 @@ def test_matrix_cells_agree_on_dynamics():
         if has_batch_engine(engine):
             in_network, backlog = int(in_network[0]), int(backlog[0])
         runs[engine] = (in_network, backlog)
-    assert (
-        runs["meso"]
-        == runs["meso-counts"]
-        == runs["meso-events"]
-        == runs["meso-vec"]
-    )
+    assert runs["meso"] == runs["meso-counts"] == runs["meso-vec"]

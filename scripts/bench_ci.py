@@ -42,7 +42,7 @@ Measures two kinds of steps/second on a small, fixed workload set:
   changepoints`` pays for every stored cell, so detection stays cheap
   relative to simulating the runs it analyzes.
 
-Five gates, all enforced in CI:
+Four gates, all enforced in CI:
 
 1. **Regression gate** — writes the numbers to ``BENCH_ci.json`` and
    fails (exit 1) if any workload's calibration-normalized throughput
@@ -59,14 +59,7 @@ Five gates, all enforced in CI:
    (default 3x) more replication mini-slots/s than 16 serial
    ``meso-counts`` runs would on the gated light-demand 10x10 grid —
    the mass-replication regime the batch engine exists for.
-4. **Event-engine speedup gate** — fails (exit 1) if the ``meso-events``
-   calendar-queue engine is not at least ``--min-events-speedup``
-   (default 3x) faster than serial ``meso-counts`` stepping on the
-   gated light-demand 10x10 grid (key
-   ``step/meso-events/steady-10x10-l10``).  Light load is exactly the
-   regime the event loop exists for: most slots move nothing, and the
-   calendar skips them.
-5. **Batch closed-loop speedup gate** — fails (exit 1) if the same
+4. **Batch closed-loop speedup gate** — fails (exit 1) if the same
    B=16 batch running the *full* control loop (batched util-bp on the
    in-engine arrays) is not at least ``--min-vec-closed-speedup``
    (default 2x) faster, in replication mini-slots/s, than 16 serial
@@ -140,7 +133,6 @@ BATCH_WIDTH = 16
 #: reference and the B=16 batch, reported in replication mini-slots/s.
 STEPPING_WORKLOADS = (
     ("step/meso-counts/steady-10x10-l10", "meso-counts", 400),
-    ("step/meso-events/steady-10x10-l10", "meso-events", 400),
     ("step/meso-vec-b16/steady-10x10-l10", "meso-vec", 400),
 )
 
@@ -166,11 +158,6 @@ SPEEDUP_GATES = (
         "step/meso-vec-b16/steady-10x10-l10",
         "step/meso-counts/steady-10x10-l10",
         "min_vec_speedup",
-    ),
-    (
-        "step/meso-events/steady-10x10-l10",
-        "step/meso-counts/steady-10x10-l10",
-        "min_events_speedup",
     ),
     (
         "step/meso-vec-b16-utilbp/steady-10x10-l10",
@@ -779,14 +766,6 @@ def main() -> int:
         ),
     )
     parser.add_argument(
-        "--min-events-speedup", type=float, default=3.0,
-        help=(
-            "required meso-events over meso-counts steps/s ratio on the "
-            "gated light-demand grid (default 3.0): the event engine only "
-            "earns its keep by skipping idle slots"
-        ),
-    )
-    parser.add_argument(
         "--min-vec-closed-speedup", type=float, default=2.0,
         help=(
             "required batched closed-loop (meso-vec@B=16 + batched "
@@ -818,7 +797,6 @@ def main() -> int:
         {
             "min_speedup": args.min_speedup,
             "min_vec_speedup": args.min_vec_speedup,
-            "min_events_speedup": args.min_events_speedup,
             "min_vec_closed_speedup": args.min_vec_closed_speedup,
         },
         speedup_repeats=(

@@ -130,70 +130,41 @@ cmp "$CACHE_DIR/whole.csv" "$CACHE_DIR/fleet.csv" \
     || { echo "smoke FAILED: fleet-run export differs from the unsharded run"; exit 1; }
 
 echo
-echo "== batched meso-vec sweep (seed fan-out through the pool) =="
+echo "== batched meso-vec sweep (seed fan-out + exact serial replay) =="
 # Two seeds of one scenario on the batch engine run as ONE batched
 # simulation; the store must still end up with one row per seed (cache
 # keys are per spec, so batch execution stays resumable cell by cell).
-# The closed loop must run on the batched util-bp kernel: a
-# "falling back" notice on stderr means the vectorized fast path
-# silently de-vectorized (layout drift, renamed controller, ...).
-VEC_ERR="$CACHE_DIR/vec-sweep.stderr"
+# Each stored row is then replayed serially on meso-counts: the
+# summaries must match exactly (the batched path's contract is
+# bit-identical trajectories, not statistical agreement).
 "$PYTHON" -m repro sweep \
     --scenario steady-4x4 --engine meso-vec \
-    --seeds 1 2 --duration 300 --store "$STORE" \
-    2> "$VEC_ERR" || { cat "$VEC_ERR" >&2; exit 1; }
-cat "$VEC_ERR" >&2
-grep -q "falling back" "$VEC_ERR" \
-    && { echo "smoke FAILED: batched sweep fell back to per-replication controllers"; exit 1; }
-
-VEC_ROWS=$("$PYTHON" - "$STORE" <<'EOF'
+    --seeds 1 2 --duration 300 --store "$STORE"
+"$PYTHON" - "$STORE" <<'EOF'
 import sys
 
+from repro.experiments.runner import run_scenario
 from repro.results import ResultStore
+from repro.scenarios import build_named_scenario
 
 store = ResultStore(sys.argv[1])
 rows = store.query(engine="meso-vec", pattern="steady-4x4")
-print(len(rows))
 seeds = sorted(record.spec.seed for record in rows)
 assert seeds == [1, 2], f"expected one row per seed, got seeds {seeds}"
 for record in rows:
     assert record.summary.delay_mode == "aggregate", record.summary
-EOF
-)
-[[ "$VEC_ROWS" == "2" ]] \
-    || { echo "smoke FAILED: meso-vec sweep left $VEC_ROWS rows (want 2)"; exit 1; }
-
-echo
-echo "== event-driven engine (meso-events sweep + parity spot-check) =="
-# One sweep cell on the calendar-queue engine, then replay the same
-# cell serially on meso-counts: the stored summary must match exactly
-# (the event engine's contract is bit-identical trajectories, not
-# statistical agreement).
-"$PYTHON" -m repro sweep \
-    --scenario steady-4x4 --engine meso-events \
-    --seeds 3 --duration 300 --store "$STORE"
-"$PYTHON" - "$STORE" <<'EOF'
-import sys
-
-from repro.results import ResultStore
-from repro.experiments.runner import run_scenario
-from repro.scenarios import build_named_scenario
-
-store = ResultStore(sys.argv[1])
-[record] = store.query(engine="meso-events", pattern="steady-4x4")
-assert record.summary.delay_mode == "aggregate", record.summary
-reference = run_scenario(
-    build_named_scenario("steady-4x4", seed=record.spec.seed),
-    controller=record.spec.controller,
-    controller_params=dict(record.spec.controller_params),
-    duration=record.spec.duration,
-    engine="meso-counts",
-)
-assert record.summary == reference.summary, (
-    f"meso-events summary diverged from meso-counts:\n"
-    f"  events: {record.summary}\n  counts: {reference.summary}"
-)
-print("meso-events sweep cell == serial meso-counts replay")
+    reference = run_scenario(
+        build_named_scenario("steady-4x4", seed=record.spec.seed),
+        controller=record.spec.controller,
+        controller_params=dict(record.spec.controller_params),
+        duration=record.spec.duration,
+        engine="meso-counts",
+    )
+    assert record.summary == reference.summary, (
+        f"meso-vec seed {record.spec.seed} diverged from meso-counts:\n"
+        f"  vec:    {record.summary}\n  counts: {reference.summary}"
+    )
+print(f"meso-vec sweep rows (seeds {seeds}) == serial meso-counts replays")
 EOF
 
 echo

@@ -98,7 +98,7 @@ from repro.util.logging import get_logger, log_context
 
 #: The public API schema version (``major.minor``); embedded in every
 #: service response envelope as ``api_version``.
-API_VERSION = "1.2"
+API_VERSION = "2.0"
 
 
 def package_version() -> str:

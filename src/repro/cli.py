@@ -21,12 +21,9 @@ ablations  run a named ablation study
 stability  demand-scale stability sweep
 
 Every sweep-shaped command accepts ``--workers N`` (process-parallel
-execution) and ``--store FILE``, the canonical persistence option
-naming the SQLite result store; completed cells are committed
-incrementally and a re-invoked sweep resumes by computing only the
-missing cells.  ``--cache-dir DIR`` is a **deprecated** alias that
-opens ``DIR/results.sqlite`` (importing any legacy per-spec JSON cache
-entries found there, once) and emits a ``DeprecationWarning``.
+execution) and ``--store FILE``, naming the SQLite result store;
+completed cells are committed incrementally and a re-invoked sweep
+resumes by computing only the missing cells.
 """
 
 from __future__ import annotations
@@ -72,17 +69,8 @@ def _add_pool_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", default=None, metavar="FILE",
         help=(
-            "SQLite result store (the canonical persistence option); "
-            "completed cells are committed incrementally and never "
-            "re-simulated (wins over --cache-dir)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help=(
-            "DEPRECATED alias for --store: opens DIR/results.sqlite "
-            "(importing legacy per-spec JSON cache entries once) and "
-            "emits a DeprecationWarning; use --store FILE instead"
+            "SQLite result store; completed cells are committed "
+            "incrementally and never re-simulated"
         ),
     )
     parser.add_argument(
@@ -96,27 +84,11 @@ def _add_pool_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_pool(args: argparse.Namespace):
-    import warnings
-
     from repro.orchestration import ExperimentPool
 
-    store = getattr(args, "store", None)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None and store is None:
-        # Convert here (not via the pool's own deprecated keyword) so
-        # the warning names the CLI flag the user actually typed.
-        warnings.warn(
-            "--cache-dir is deprecated; pass --store FILE instead "
-            "(legacy JSON entries in the directory are imported once)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.results import ResultStore
-
-        store = ResultStore.at_directory(cache_dir)
     return ExperimentPool(
         workers=args.workers,
-        store=store,
+        store=getattr(args, "store", None),
         batch_size=getattr(args, "batch_size", 16),
     )
 
@@ -692,7 +664,7 @@ def _open_store(path: str):
     if not Path(path).exists():
         print(
             f"repro results: no store at {path!r} (run a sweep with "
-            f"--store/--cache-dir first, or pass --store)",
+            f"--store first, or pass --store)",
             file=sys.stderr,
         )
         return None

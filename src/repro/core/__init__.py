@@ -1,7 +1,7 @@
 """The paper's primary contribution.
 
-* :mod:`repro.core.pressure` — the pressure mapping and link/phase gain
-  metrics of Sec. III-A (Eqs. 4-12).
+* :mod:`repro.core.pressure` — the pressure mapping and the link/phase
+  gain kernels of Sec. III-A (Eqs. 4-12).
 * :mod:`repro.core.util_bp` — the utilization-aware adaptive
   back-pressure controller, a line-by-line implementation of
   Algorithm 1.
@@ -19,13 +19,7 @@ from repro.core.engine import (
     engine_names,
     register_engine,
 )
-from repro.core.pressure import (
-    link_gain,
-    link_gain_original,
-    max_link_gain,
-    phase_gain,
-    pressure,
-)
+from repro.core.pressure import link_gain_original, pressure
 from repro.core.util_bp import UtilBpController
 
 __all__ = [
@@ -36,9 +30,6 @@ __all__ = [
     "register_engine",
     "build_engine",
     "pressure",
-    "link_gain",
     "link_gain_original",
-    "phase_gain",
-    "max_link_gain",
     "UtilBpController",
 ]

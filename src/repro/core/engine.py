@@ -2,9 +2,9 @@
 
 The control loop drives two kinds of plant.  A *single engine* — the
 mesoscopic store-and-forward simulator (``meso``), its counts-based
-fast variants (``meso-counts``, ``meso-events``), the microscopic
-Krauss simulator (``micro``), and any future backend (a real SUMO
-bridge, a hardware-in-the-loop rig) — steps one replication and
+fast variant (``meso-counts``), the microscopic Krauss simulator
+(``micro``), and any future backend (a real SUMO bridge, a
+hardware-in-the-loop rig) — steps one replication and
 implements the :class:`SimulationEngine` protocol:
 
 * ``time`` — the current simulation clock (s);
@@ -290,7 +290,6 @@ ENGINES = Registry(
     {
         "meso": "repro.meso.simulator",
         "meso-counts": "repro.meso.counts",
-        "meso-events": "repro.meso.events",
         "micro": "repro.micro.simulator",
     },
 )

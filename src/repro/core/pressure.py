@@ -6,48 +6,44 @@ The notions implemented here, with their equation numbers in the paper:
 * ``link_gain_original`` — the original back-pressure link gain
   ``g_o(L, k) = max(0, (b_i - b_{i'}) mu)`` computed on the *total*
   incoming queue (Eq. 5, Varaiya-style).
-* ``link_gain`` — the paper's modified gain (Eqs. 6-9): per-movement
-  incoming pressure, shifted positive by ``W*``, with the special
-  cases ``beta`` (full outgoing road) and ``alpha`` (empty incoming
-  movement).
-* ``phase_gain`` — the total gain of a phase, ``g(c_j, k)`` (Eq. 10).
-* ``max_link_gain`` — the maximum constituent link gain,
+* ``link_gain_array`` — the paper's modified gain (Eqs. 6-9):
+  per-movement incoming pressure, shifted positive by ``W*``, with the
+  special cases ``beta`` (full outgoing road) and ``alpha`` (empty
+  incoming movement).
+* ``phase_gain_array`` — the total gain of a phase, ``g(c_j, k)``
+  (Eq. 10).
+* ``max_link_gain_array`` — the maximum constituent link gain,
   ``g_max(c_j, k)`` (Eq. 11), together with the arg-max link
-  ``L_max(c_j, k)`` needed by the keep-phase threshold of Eq. 12.
+  ``L_max(c_j, k)`` needed by the keep-phase threshold of Eq. 12
+  (``keep_threshold_array``).
 
-Each scalar function has an ``*_array`` twin operating on whole
-``(B, n_movements)`` queue/occupancy arrays — the kernels behind the
-batched controllers (:mod:`repro.control.batch`).  The array variants
-are *bit-for-bit* equivalent to mapping the scalar function over every
-(replication, movement) cell: comparisons are the same, and the
-floating-point evaluation order of every sum and product is preserved
-(phase sums accumulate left-to-right in declaration order), so batched
-decisions never diverge from serial ones by rounding.
-
-The scalar functions are the readable reference of Eqs. 4-12.  Neither
-controller calls them on its hot path: the single-pass
-:class:`~repro.core.util_bp.UtilBpController` and the ``*_array``
-kernels each evaluate the same expressions in the same order, and the
-tests hold both to Algorithm 1 written on these functions.
+The ``*_array`` kernels operate on whole ``(B, n_movements)``
+queue/occupancy arrays and are behind the batched controllers
+(:mod:`repro.control.batch`); the single-pass
+:class:`~repro.core.util_bp.UtilBpController` evaluates the same
+expressions in the same order on one observation.  The scalar
+per-movement reference of Eqs. 8-12 (``link_gain``, ``phase_gain``,
+``max_link_gain``, ``keep_threshold``) lives with the Algorithm 1
+oracle in ``tests/reference_util_bp.py``: the tests hold the array
+kernels *bit-for-bit* to it per (replication, movement) cell —
+comparisons are the same, and the floating-point evaluation order of
+every sum and product is preserved (phase sums accumulate
+left-to-right in declaration order), so batched decisions never
+diverge from serial ones by rounding.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.model.movements import Movement
-from repro.model.phases import Phase
 from repro.model.queues import QueueObservation
 
 __all__ = [
     "pressure",
     "link_gain_original",
-    "link_gain",
-    "phase_gain",
-    "max_link_gain",
-    "keep_threshold",
     "link_gain_array",
     "link_gain_original_array",
     "phase_gain_array",
@@ -83,79 +79,6 @@ def link_gain_original(movement: Movement, obs: QueueObservation) -> float:
     return max(0.0, (b_in - b_out) * movement.service_rate)
 
 
-def link_gain(
-    movement: Movement,
-    obs: QueueObservation,
-    alpha: float,
-    beta: float,
-) -> float:
-    """The paper's modified link gain, Eq. 8.
-
-    ::
-
-        g(L, k) = beta                              if q_{i'} = W_{i'}
-                = alpha                             if q_{i'} < W_{i'} and q_i^{i'} = 0
-                = (b_i^{i'} - b_{i'} + W*) mu       otherwise
-
-    with ``W* = max W_{i'}`` (Eq. 7).  In the general case the gain is
-    non-negative because ``b_i^{i'} >= 0`` and ``b_{i'} <= W*``, so any
-    servable link outranks the two special cases (``alpha, beta < 0``).
-    """
-    if alpha >= 0 or beta >= 0:
-        raise ValueError(
-            f"alpha and beta must be negative, got alpha={alpha}, beta={beta}"
-        )
-    q_out = obs.out_queue(movement.out_road)
-    capacity = obs.capacity(movement.out_road)
-    if q_out >= capacity:
-        return beta
-    q_move = obs.movement_queue(movement.in_road, movement.out_road)
-    if q_move == 0:
-        return alpha
-    w_star = float(obs.max_capacity())
-    b_in = pressure(q_move)
-    b_out = pressure(q_out)
-    return (b_in - b_out + w_star) * movement.service_rate
-
-
-def phase_gain(
-    phase: Phase, obs: QueueObservation, alpha: float, beta: float
-) -> float:
-    """Total gain of a phase, ``g(c_j, k)`` (Eq. 10)."""
-    return sum(link_gain(m, obs, alpha, beta) for m in phase.movements)
-
-
-def max_link_gain(
-    phase: Phase, obs: QueueObservation, alpha: float, beta: float
-) -> Tuple[float, Movement]:
-    """``g_max(c_j, k)`` and its arg-max link ``L_max(c_j, k)`` (Eq. 11).
-
-    Ties are broken by the first movement in the phase's declaration
-    order, which is deterministic.
-    """
-    best_gain: Optional[float] = None
-    best_movement: Optional[Movement] = None
-    for movement in phase.movements:
-        gain = link_gain(movement, obs, alpha, beta)
-        if best_gain is None or gain > best_gain:
-            best_gain = gain
-            best_movement = movement
-    assert best_gain is not None and best_movement is not None
-    return best_gain, best_movement
-
-
-def keep_threshold(obs: QueueObservation, movement: Movement) -> float:
-    """The keep-phase threshold ``g*(k)`` of Eq. 12.
-
-    With ``L_max(c(k-1), k) = L_i^{i'}``, the paper sets
-    ``g*(k) = W* mu_i^{i'}``: the current phase is kept exactly while
-    its best link still has a *positive* pressure difference
-    (``g > g*  <=>  b_i^{i'} - b_{i'} > 0`` in the general case of
-    Eq. 8).
-    """
-    return float(obs.max_capacity()) * movement.service_rate
-
-
 # -- batched array kernels ----------------------------------------------------
 #
 # The array variants take movement-aligned arrays whose trailing axis
@@ -182,9 +105,9 @@ def link_gain_array(
 
     ``queues``/``out_queues`` hold ``q_i^{i'}``/``q_{i'}`` per movement;
     ``out_capacities``, ``w_star`` (the movement's intersection ``W*``)
-    and ``service_rates`` are the static per-movement columns.  Exactly
-    :func:`link_gain` per cell, including the check order (a full
-    outgoing road wins over an empty incoming movement).
+    and ``service_rates`` are the static per-movement columns.  The
+    scalar reference ``link_gain`` per cell, including the check order
+    (a full outgoing road wins over an empty incoming movement).
     """
     if alpha >= 0 or beta >= 0:
         raise ValueError(

@@ -7,18 +7,15 @@ intersection's phase, and applies the decisions to the engine.  One
 loop serves both runners — :func:`run_scenario` is a batch of one —
 and it pairs each engine kind with its controller kind:
 
-* a single engine (``meso``, ``meso-counts``, ``meso-events``,
-  ``micro``) is driven by the scalar
-  :class:`~repro.control.base.NetworkController` on its
+* a single engine (``meso``, ``meso-counts``, ``micro``) is driven by
+  the scalar :class:`~repro.control.base.NetworkController` on its
   per-intersection observations;
 * a batch engine (``meso-vec``) is driven, at any batch size including
   one, by the :class:`~repro.control.batch.BatchNetworkController` of
   the same name on the engine's ``controller_arrays()``.
 
 The engine contracts and the name-based registries live in
-:mod:`repro.core.engine`; :func:`build_engine` and
-:func:`register_engine` are re-exported here for backwards
-compatibility.
+:mod:`repro.core.engine`.
 """
 
 from __future__ import annotations
@@ -28,15 +25,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# Re-exported for backwards compatibility: the registry moved to the
-# core layer so engines can register without importing experiments.
 from repro.core.engine import (
     batch_engine_names,
     build_batch_controller,
     build_batch_engine,
     build_engine,
     has_batch_engine,
-    register_engine,
 )
 from repro.control.factory import make_network_controller
 from repro.scenarios.core import Scenario
@@ -51,8 +45,6 @@ __all__ = [
     "RunResult",
     "run_scenario",
     "run_scenario_batch",
-    "build_engine",
-    "register_engine",
 ]
 
 

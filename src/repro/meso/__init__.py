@@ -20,14 +20,10 @@ heterogeneous sweeps.  :mod:`repro.meso.vectorized` lifts those count
 dynamics onto batched NumPy arrays (engine name ``"meso-vec"``):
 ``B`` seed-replications of one scenario shape stepped at once,
 replication-exact against ``meso-counts`` — the backend of choice for
-mass seed-replication.  :mod:`repro.meso.events` drives the same count
-dynamics from a calendar event queue (engine name ``"meso-events"``):
-bit-exact against ``meso-counts``, and fastest when most mini-slots
-are idle (light load, large grids).
+mass seed-replication.
 """
 
 from repro.meso.counts import CountsSimulator
-from repro.meso.events import EventCountsSimulator
 from repro.meso.simulator import MesoSimulator
 from repro.meso.vehicle import MesoVehicle
 from repro.meso.vectorized import BatchCountsSimulator
@@ -35,7 +31,6 @@ from repro.meso.vectorized import BatchCountsSimulator
 __all__ = [
     "BatchCountsSimulator",
     "CountsSimulator",
-    "EventCountsSimulator",
     "MesoSimulator",
     "MesoVehicle",
 ]

@@ -17,9 +17,8 @@ rather than offer alternatives to it:
 * a served vehicle crosses its next road in that road's free-flow time.
 
 No caller varies any of these, so they are module constants and not
-engine options; ``meso``, ``meso-counts``, ``meso-events`` and
-``meso-vec`` stay bit-exact with each other because they all read them
-from here.
+engine options; ``meso``, ``meso-counts`` and ``meso-vec`` stay
+bit-exact with each other because they all read them from here.
 """
 
 #: Seconds of green at the start of every phase application during

@@ -25,10 +25,9 @@ def next_grid_sample(now: float, interval: float) -> float:
     Trace sampling snaps to this grid rather than anchoring on the
     time a sample happened to be taken: anchoring on ``now`` would
     drift whenever the stepping cadence (a mini-slot that does not
-    divide the interval, or an event-driven engine's jumps) is not
-    commensurate with ``interval``.  Every sampler — serial, batch and
-    event-time — uses this helper so they land on identical sample
-    instants.
+    divide the interval) is not commensurate with ``interval``.  Every
+    sampler, serial and batch, uses this helper so they land on
+    identical sample instants.
     """
     return (math.floor(now / interval) + 1) * interval
 

@@ -240,32 +240,6 @@ class PoissonArrivals:
                     i += take
         return out
 
-    def sample_nonzero_block(
-        self, times: Sequence[float], dt: float
-    ) -> List[Tuple[int, int]]:
-        """``(slot_index, count)`` pairs for a block, skipping zeros.
-
-        Event-driven callers only care which slots receive vehicles.
-        Returns the nonzero entries of :meth:`sample_count_block` with
-        their positions in ``times`` — draw-for-draw identical RNG
-        consumption to the per-slot calls.
-
-        Fast path: when the schedule's precomputed segment tables show
-        a zero expected count across the whole block (e.g. the silent
-        phases of a tidal profile), every per-slot mean is zero — the
-        scalar path returns 0 *before* touching the generator — so the
-        block is skipped without drawing anything at all.
-        """
-        if not times:
-            return []
-        if self.schedule.expected_count(times[0], times[-1] + dt) == 0.0:
-            return []
-        return [
-            (index, count)
-            for index, count in enumerate(self.sample_count_block(times, dt))
-            if count
-        ]
-
     def sample_times(self, start: float, dt: float) -> List[float]:
         """Exact arrival instants in ``[start, start+dt)`` (sorted).
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Tuple
 
-from repro.experiments.runner import build_engine
+from repro.core.engine import build_engine
 from repro.scenarios.core import Scenario
 from repro.metrics.collector import Summary
 from repro.model.phases import TRANSITION_PHASE_INDEX

@@ -13,6 +13,17 @@ class TestFacadeSurface:
     def test_api_version_shape(self):
         assert re.fullmatch(r"\d+\.\d+", api.API_VERSION)
 
+    def test_pool_signature_is_the_2_0_surface(self):
+        """``cache_dir=`` left ``ExperimentPool`` in API 2.0."""
+        import inspect
+
+        assert int(api.API_VERSION.split(".")[0]) >= 2
+        assert list(inspect.signature(api.ExperimentPool).parameters) == [
+            "workers",
+            "store",
+            "batch_size",
+        ]
+
     def test_every_public_name_importable(self):
         for name in api.__all__:
             assert getattr(api, name, None) is not None, (

@@ -26,13 +26,12 @@ from repro.scenarios import build_named_scenario
 from repro.scenarios.core import build_scenario
 from repro.model.phases import TRANSITION_PHASE_INDEX
 
-ENGINES = ("meso", "meso-counts", "meso-events", "meso-vec", "micro")
+ENGINES = ("meso", "meso-counts", "meso-vec", "micro")
 
 #: Short horizons keep the micro engine affordable in CI.
 HORIZON = {
     "meso": 90.0,
     "meso-counts": 90.0,
-    "meso-events": 90.0,
     "meso-vec": 90.0,
     "micro": 30.0,
 }
@@ -75,7 +74,6 @@ class TestRegistry:
         assert ENGINE_NAMES == (
             "meso",
             "meso-counts",
-            "meso-events",
             "meso-vec",
             "micro",
         )
@@ -86,10 +84,18 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown engine"):
             build_engine(build_scenario("I"), "warp-drive")
 
+    def test_removed_event_engine_is_unknown(self):
+        """``meso-events`` was deleted: a new spec naming it fails at
+        construction (stored rows stay readable, see the store tests)."""
+        from repro.orchestration import RunSpec
+
+        assert "meso-events" not in engine_names()
+        with pytest.raises(ValueError, match="unknown engine"):
+            RunSpec(pattern="I", engine="meso-events")
+
     def test_provider_module(self):
         assert provider_module("meso") == "repro.meso.simulator"
         assert provider_module("meso-counts") == "repro.meso.counts"
-        assert provider_module("meso-events") == "repro.meso.events"
         assert provider_module("meso-vec") == "repro.meso.vectorized"
         assert provider_module("micro") == "repro.micro.simulator"
         assert provider_module("nonexistent") is None

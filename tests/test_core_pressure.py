@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core.pressure import (
-    keep_threshold,
     keep_threshold_array,
-    link_gain,
     link_gain_array,
     link_gain_original,
     link_gain_original_array,
-    max_link_gain,
     max_link_gain_array,
-    phase_gain,
     phase_gain_array,
     pressure,
 )
 from tests.conftest import make_observation
+from tests.reference_util_bp import (
+    keep_threshold,
+    link_gain,
+    max_link_gain,
+    phase_gain,
+)
 
 ALPHA, BETA = -1.0, -2.0
 

@@ -1,5 +1,5 @@
 """Equivalence suite: ``meso-counts`` against the reference ``meso``,
-and ``meso-vec`` / ``meso-events`` against ``meso-counts``.
+and ``meso-vec`` against ``meso-counts``.
 
 The counts-based engine claims *step-for-step identical* Eq.-2
 dynamics under a shared seed, not statistical similarity.  This suite
@@ -24,11 +24,8 @@ open-loop (fixed phase schedule) drives are covered: closed-loop
 proves the engines are interchangeable inside the real control loop,
 open-loop proves the parity does not depend on the controller masking
 differences.
-
-The ``meso-events`` calendar-queue engine claims the same bit-exact
-trajectory as ``meso-counts`` under a shared seed — the event loop only
-reschedules *when* work happens, never *what* happens — so it runs the
-identical closed- and open-loop lockstep matrices.
+``TestMiniSlotParity`` repeats the closed-loop chain at mini-slots
+other than 1 s.
 
 The ``meso-vec`` batch engine extends the chain: at ``B=1`` it must be
 *exactly* equal to ``meso-counts`` under the same seed (same lockstep
@@ -91,11 +88,13 @@ def _lockstep(
     decide_b,
     steps=STEPS,
     engines=("meso", "meso-counts"),
+    dt=1.0,
 ):
     """Drive two engines in lockstep; assert per-step equivalence.
 
-    Returns the two engines; a batch engine (``meso-vec``) runs as a
-    batch of one and is compared through replication 0.
+    Every step lasts ``dt`` seconds.  Returns the two engines; a batch
+    engine (``meso-vec``) runs as a batch of one and is compared
+    through replication 0.
     """
     reference, counts = (_build(name, engine) for engine in engines)
     views = [
@@ -122,8 +121,8 @@ def _lockstep(
         phases_ref = decide_a(obs_ref, step)
         phases_cnt = decide_b(obs_cnt, step)
         assert phases_ref == phases_cnt, (name, step)
-        views[0].step(1.0, phases_ref)
-        views[1].step(1.0, phases_cnt)
+        views[0].step(dt, phases_ref)
+        views[1].step(dt, phases_cnt)
     reference.finalize()
     counts.finalize()
     return reference, counts
@@ -177,56 +176,6 @@ class TestTrajectoryParity:
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-class TestEventsTrajectoryParity:
-    """``meso-events`` against ``meso-counts``: exact, per step.
-
-    Both engines keep aggregate books, so beyond the lockstep state
-    checks the whole final summary must be bit-for-bit equal — and so
-    must the banked service credits, which the event engine defers and
-    replays lazily (finalize settles them).
-    """
-
-    ENGINES = ("meso-counts", "meso-events")
-
-    def _assert_aggregate_books_match(self, counts, events):
-        horizon = float(STEPS)
-        cnt_util = {n: t.to_dict() for n, t in counts.utilization.items()}
-        evt_util = {n: t.to_dict() for n, t in events.utilization.items()}
-        assert cnt_util == evt_util
-        cnt = counts.collector.summary(horizon)
-        evt = events.collector.summary(horizon)
-        assert cnt.delay_mode == evt.delay_mode == "aggregate"
-        assert cnt == evt
-        assert counts._credit == events._credit
-
-    def test_closed_loop_util_bp(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        controllers = [
-            make_network_controller("util-bp", scenario.network)
-            for _ in range(2)
-        ]
-        counts, events = _lockstep(
-            name,
-            lambda obs, step: controllers[0].decide(obs),
-            lambda obs, step: controllers[1].decide(obs),
-            engines=self.ENGINES,
-        )
-        self._assert_aggregate_books_match(counts, events)
-
-    def test_open_loop_fixed_phases(self, name):
-        scenario = build_named_scenario(name, seed=11)
-        nodes = list(scenario.network.intersections)
-
-        def fixed(obs, step):
-            slot, offset = divmod(step, 13)
-            phase = 0 if offset == 12 else 1 + slot % 4
-            return {node: phase for node in nodes}
-
-        counts, events = _lockstep(name, fixed, fixed, engines=self.ENGINES)
-        self._assert_aggregate_books_match(counts, events)
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
 class TestVectorizedTrajectoryParity:
     """``meso-vec`` at B=1 against ``meso-counts``: exact, per step.
 
@@ -277,6 +226,57 @@ class TestVectorizedTrajectoryParity:
             name, fixed, fixed, engines=self.ENGINES
         )
         self._assert_aggregate_books_match(counts, vectorized)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+class TestMiniSlotParity:
+    """The parity chain at mini-slots other than 1 s.
+
+    ``RunConfig.mini_slot`` sets the step length of every engine.  At a
+    dyadic length every join and service time is exact, so ``meso``
+    and ``meso-counts`` still agree bit for bit (at 0.7 s the
+    per-vehicle waiting sum and the counts integral differ in the last
+    ulp, so that pair is held to dyadic lengths).  ``meso-counts`` and
+    ``meso-vec`` evaluate the same float operations, so they agree at
+    any length.
+    """
+
+    STEPS = 200
+
+    def _controllers(self, name):
+        network = build_named_scenario(name, seed=11).network
+        return [make_network_controller("util-bp", network) for _ in range(2)]
+
+    @pytest.mark.parametrize("dt", (0.5, 2.0))
+    def test_counts_equals_reference(self, name, dt):
+        controllers = self._controllers(name)
+        reference, counts = _lockstep(
+            name,
+            lambda obs, step: controllers[0].decide(obs),
+            lambda obs, step: controllers[1].decide(obs),
+            steps=self.STEPS,
+            dt=dt,
+        )
+        _assert_books_match(reference, counts, horizon=self.STEPS * dt)
+
+    @pytest.mark.parametrize("dt", (0.5, 0.7, 2.0))
+    def test_vectorized_equals_counts(self, name, dt):
+        controllers = self._controllers(name)
+        counts, vectorized = _lockstep(
+            name,
+            lambda obs, step: controllers[0].decide(obs),
+            lambda obs, step: controllers[1].decide(obs),
+            steps=self.STEPS,
+            engines=("meso-counts", "meso-vec"),
+            dt=dt,
+        )
+        horizon = self.STEPS * dt
+        assert {n: t.to_dict() for n, t in counts.utilization.items()} == {
+            n: t.to_dict() for n, t in vectorized.utilization_of(0).items()
+        }
+        assert counts.collector.summary(horizon) == (
+            vectorized.summaries(horizon)[0]
+        )
 
 
 class TestBatchIndependence:

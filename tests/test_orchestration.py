@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.experiments.runner import RunResult, run_scenario
+from repro.results import ResultStore
+from repro.scenarios import build_named_scenario
 from repro.scenarios.core import build_scenario
 from repro.orchestration import (
     BatchRunSpec,
@@ -180,6 +182,10 @@ class TestSweepGrid:
         with pytest.raises(ValueError, match="unknown engine"):
             SweepGrid(engines=("meso", "warp-drive"))
 
+    def test_removed_event_engine_in_axis_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            SweepGrid(engines=("meso-counts", "meso-events"))
+
     def test_pattern_only_param_on_scenario_rejected_at_construction(self):
         """A pattern-only kwarg shared with a catalog scenario must fail
         when the grid is built, not as a TypeError inside a worker."""
@@ -329,6 +335,11 @@ class TestExperimentPool:
         with pytest.raises(ValueError, match="batch_size"):
             ExperimentPool(batch_size=0)
 
+    def test_cache_dir_keyword_removed(self, tmp_path):
+        """``store=`` is the only way to persist cells."""
+        with pytest.raises(TypeError, match="cache_dir"):
+            ExperimentPool(cache_dir=tmp_path)
+
     def test_cache_key_includes_engine(self, tmp_path):
         """A cached ``meso`` result must never satisfy a ``meso-counts``
         spec (or vice versa): the engines report different metric modes,
@@ -436,6 +447,42 @@ class TestSeedBatching:
         direct = ExperimentPool(batch_size=1).run(specs)
         assert results == direct
 
+    @pytest.mark.parametrize(
+        "controller",
+        [
+            ("util-bp", {}),
+            ("cap-bp", {"period": 18.0}),
+            ("fixed-time", {"period": 18.0}),
+        ],
+        ids=lambda entry: entry[0],
+    )
+    def test_batched_rows_equal_serial_counts_runs(self, tmp_path, controller):
+        """Each stored row of a seed-batch equals a serial ``meso-counts``
+        ``run_scenario`` replay of its seed under the same controller."""
+        name, params = controller
+        specs = SweepGrid(
+            patterns=(),
+            scenarios=("steady-3x3",),
+            seeds=(1, 2),
+            engines=("meso-vec",),
+            controllers=[(name, params)],
+            durations=(120.0,),
+        ).specs()
+        pool = ExperimentPool(store=tmp_path / "s.sqlite", batch_size=16)
+        assert pool._plan_units(specs) == [BatchRunSpec.from_specs(specs)]
+        pool.run(specs)
+        store = ResultStore(tmp_path / "s.sqlite")
+        for spec in specs:
+            replay = run_scenario(
+                build_named_scenario("steady-3x3", seed=spec.seed),
+                controller=name,
+                duration=120.0,
+                engine="meso-counts",
+                controller_params=params,
+            )
+            assert store.get(spec).summary == replay.summary, spec.seed
+        store.close()
+
     def test_parallel_batched_matches_serial(self):
         specs = self._specs()
         serial = ExperimentPool(workers=1, batch_size=2).run(specs)
@@ -523,34 +570,3 @@ class TestSweepGridWireFormat:
     def test_invalid_axis_values_still_validated(self):
         with pytest.raises(ValueError, match="unknown engine"):
             SweepGrid.from_dict({"engines": ["warp-drive"]})
-
-
-class TestCacheDirDeprecation:
-    """``cache_dir`` is a deprecated alias of the canonical ``store``."""
-
-    def test_pool_warns_but_still_works(self, tmp_path):
-        spec = RunSpec(**QUICK)
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            pool = ExperimentPool(cache_dir=tmp_path)
-        pool.run_one(spec)
-        assert (tmp_path / "results.sqlite").is_file()
-        warm = ExperimentPool(store=tmp_path / "results.sqlite")
-        warm.run_one(spec)
-        assert warm.stats.cache_hits == 1  # same store file either way
-
-    def test_store_keyword_does_not_warn(self, tmp_path):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ExperimentPool(store=tmp_path / "s.sqlite")
-
-    def test_store_wins_over_cache_dir(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            pool = ExperimentPool(
-                cache_dir=tmp_path / "legacy",
-                store=tmp_path / "canonical.sqlite",
-            )
-        pool.run_one(RunSpec(**QUICK))
-        assert (tmp_path / "canonical.sqlite").is_file()
-        assert not (tmp_path / "legacy").exists()

@@ -1,4 +1,4 @@
-"""The SQLite result store: round trips, resume, migration, isolation."""
+"""The SQLite result store: round trips, resume, isolation, old rows."""
 
 import json
 import sqlite3
@@ -7,9 +7,13 @@ import pytest
 
 from repro.experiments.runner import RunResult, run_scenario
 from repro.scenarios.core import build_scenario
-from repro.orchestration import ExperimentPool, RunSpec, SweepGrid
-from repro.orchestration.spec import SPEC_SCHEMA_VERSION
-from repro.results import STORE_FILENAME, ResultStore
+from repro.orchestration import (
+    SPEC_SCHEMA_VERSION,
+    ExperimentPool,
+    RunSpec,
+    SweepGrid,
+)
+from repro.results import ResultStore
 
 #: A cheap cell reused across tests (90 s meso run).
 QUICK = dict(pattern="I", controller="util-bp", engine="meso", duration=90.0)
@@ -259,97 +263,80 @@ class TestResume:
         assert warm.stats.executed == 0
 
 
-def write_legacy_entry(directory, spec, result) -> None:
-    """One per-spec JSON blob exactly as the old pool cache wrote it."""
-    entry = {
-        "version": SPEC_SCHEMA_VERSION,
-        "spec": spec.to_dict(),
-        "result": result.to_dict(),
-    }
-    (directory / f"{spec.spec_hash()}.json").write_text(
-        json.dumps(entry), encoding="utf-8"
-    )
+class TestOneStoreFile:
+    """``ResultStore(path)`` on one SQLite file is the only way in: the
+    directory-shaped cache, its JSON import and ``at_directory`` are
+    gone, and rows of a deleted engine stay readable."""
 
+    def test_directory_is_not_a_store(self, tmp_path):
+        with pytest.raises(sqlite3.OperationalError):
+            ResultStore(tmp_path)
+        with pytest.raises(sqlite3.OperationalError):
+            ExperimentPool(store=tmp_path)
 
-class TestJsonMigration:
-    def test_legacy_dir_imported_on_first_open(self, tmp_path):
+    def test_directory_entry_points_removed(self, tmp_path):
+        import repro.results
+
+        assert not hasattr(ResultStore, "at_directory")
+        assert not hasattr(repro.results, "STORE_FILENAME")
+        with pytest.raises(TypeError, match="import_json_dir"):
+            ResultStore(tmp_path / "s.sqlite", import_json_dir=tmp_path)
+
+    def test_json_cells_beside_the_store_are_never_read(self, tmp_path):
+        """A per-spec JSON blob as the old directory cache wrote it is
+        not a cell of a store opened next to it."""
         spec = RunSpec(**QUICK)
-        result = quick_result()
-        write_legacy_entry(tmp_path, spec, result)
-
-        store = ResultStore.at_directory(tmp_path)
-        assert store.imported == 1
-        assert store.get(spec) == result
-
-    def test_pool_cache_dir_serves_imported_entries(self, tmp_path):
-        """``cache_dir`` still works during its deprecation window."""
-        spec = RunSpec(**QUICK)
-        write_legacy_entry(tmp_path, spec, quick_result())
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            pool = ExperimentPool(cache_dir=tmp_path)
+        entry = {
+            "version": SPEC_SCHEMA_VERSION,
+            "spec": spec.to_dict(),
+            "result": quick_result().to_dict(),
+        }
+        (tmp_path / f"{spec.spec_hash()}.json").write_text(
+            json.dumps(entry), encoding="utf-8"
+        )
+        store = ResultStore(tmp_path / "results.sqlite")
+        assert store.get(spec) is None
+        assert store.query() == []
+        assert store.export_rows() == []
+        pool = ExperimentPool(store=store)
         pool.run_one(spec)
+        assert pool.stats.executed == 1
+        assert pool.stats.cache_hits == 0
+
+    def test_stored_meso_events_rows_stay_readable(self, tmp_path):
+        """A store written while ``meso-events`` existed still opens:
+        queries skip its rows, export lists them, and the cells that
+        still build are served."""
+        path = tmp_path / "s.sqlite"
+        store = ResultStore(path)
+        kept = RunSpec(**QUICK)
+        store.put(kept, quick_result())
+        old = RunSpec(**{**QUICK, "engine": "meso-counts", "seed": 2})
+        store.put(old, quick_result(seed=2))
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                "UPDATE results SET engine = ?, spec_json = ? "
+                "WHERE spec_hash = ?",
+                (
+                    "meso-events",
+                    json.dumps(
+                        {**old.to_dict(), "engine": "meso-events"},
+                        sort_keys=True,
+                    ),
+                    old.spec_hash(),
+                ),
+            )
+        store.close()
+
+        reopened = ResultStore(path)
+        assert [record.spec for record in reopened.query()] == [kept]
+        assert sorted(row["engine"] for row in reopened.export_rows()) == [
+            "meso",
+            "meso-events",
+        ]
+        pool = ExperimentPool(store=reopened)
+        pool.run_one(kept)
         assert pool.stats.cache_hits == 1
         assert pool.stats.executed == 0
-
-    def test_import_happens_once_and_dir_never_consulted_again(self, tmp_path):
-        spec = RunSpec(**QUICK)
-        result = quick_result()
-        write_legacy_entry(tmp_path, spec, result)
-        first = ResultStore.at_directory(tmp_path)
-        assert first.imported == 1
-        first.close()
-
-        # Corrupt the legacy file AND drop a brand-new legacy entry:
-        # neither may matter — the directory is never read again.
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{corrupt", encoding="utf-8")
-        other_spec = RunSpec(**{**QUICK, "seed": 7})
-        write_legacy_entry(tmp_path, other_spec, quick_result(seed=7))
-
-        second = ResultStore.at_directory(tmp_path)
-        assert second.imported == 0
-        assert second.get(spec) == result  # from the store, not the file
-        assert not second.contains(other_spec)  # file ignored post-import
-
-    def test_legacy_cache_copied_in_after_first_open_still_imports(
-        self, tmp_path
-    ):
-        """Opening a store over a still-empty directory must not burn
-        the one-time import: a legacy cache moved in afterwards (set
-        up the store location first, migrate the files second) is
-        imported on the next open."""
-        fresh = ResultStore.at_directory(tmp_path)
-        assert fresh.imported == 0
-        fresh.close()
-        spec = RunSpec(**QUICK)
-        result = quick_result()
-        write_legacy_entry(tmp_path, spec, result)
-        later = ResultStore.at_directory(tmp_path)
-        assert later.imported == 1
-        assert later.get(spec) == result
-
-    def test_store_entry_wins_over_legacy_file(self, tmp_path):
-        spec = RunSpec(**QUICK)
-        stored = quick_result(seed=1)
-        store = ResultStore.at_directory(tmp_path)
-        store.put(spec, stored)
-        store.close()
-        write_legacy_entry(tmp_path, spec, quick_result(seed=2))
-        again = ResultStore.at_directory(tmp_path)
-        assert again.get(spec) == stored
-
-    def test_unreadable_legacy_entries_skipped(self, tmp_path):
-        (tmp_path / "garbage.json").write_text("{not json", encoding="utf-8")
-        (tmp_path / "wrong-schema.json").write_text(
-            json.dumps({"version": -1, "spec": {}, "result": {}}),
-            encoding="utf-8",
-        )
-        store = ResultStore.at_directory(tmp_path)
-        assert store.imported == 0
-        assert len(store) == 0
-
-    def test_store_file_named_results_sqlite(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            pool = ExperimentPool(cache_dir=tmp_path)
-        pool.run_one(RunSpec(**QUICK))
-        assert (tmp_path / STORE_FILENAME).is_file()
+        with pytest.raises(ValueError, match="unknown engine"):
+            RunSpec(**{**QUICK, "engine": "meso-events"})

@@ -206,7 +206,7 @@ class TestScenariosCli:
 
 
 class TestCliStoreOptions:
-    """--store is canonical; --cache-dir is a deprecated alias."""
+    """--store names the SQLite result store a sweep resumes from."""
 
     def _sweep(self, *extra):
         return [
@@ -226,21 +226,37 @@ class TestCliStoreOptions:
         assert main(self._sweep("--store", str(store))) == 0
         assert "cache hits 1" in capsys.readouterr().out
 
-    def test_cache_dir_warns_and_still_works(self, tmp_path, capsys):
-        import warnings
+    @pytest.mark.parametrize(
+        "command",
+        ("sweep", "table3", "fig2", "fig34", "fig5", "ablations", "stability"),
+    )
+    def test_pool_options_on_every_sweep_command(
+        self, command, tmp_path, capsys
+    ):
+        """--workers/--store/--batch-size reach the pool of every
+        sweep-shaped command; the removed --cache-dir is a usage error."""
+        from repro.cli import _make_pool
 
-        with pytest.warns(DeprecationWarning, match="--cache-dir"):
-            assert main(self._sweep("--cache-dir", str(tmp_path))) == 0
-        assert (tmp_path / "results.sqlite").is_file()
-        capsys.readouterr()
-        # The alias resolves to the same store file as --store.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            code = main(
-                self._sweep("--store", str(tmp_path / "results.sqlite"))
-            )
-        assert code == 0
-        assert "cache hits 1" in capsys.readouterr().out
+        parser = build_parser()
+        store = tmp_path / "cells.sqlite"
+        args = parser.parse_args(
+            [command, "--workers", "2", "--store", str(store),
+             "--batch-size", "4"]
+        )
+        pool = _make_pool(args)
+        assert (pool.workers, pool.batch_size) == (2, 4)
+        assert store.is_file()
+        pool.store.close()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args([command, "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
+    def test_removed_event_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--engine", "meso-events"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'meso-events'" in capsys.readouterr().err
 
     def test_shard_and_fleet_flags_parse(self):
         parser = build_parser()

@@ -47,6 +47,13 @@ class TestTraciSession:
                 build_scenario("II", seed=3, rows=1, cols=1), engine="meso-vec"
             )
 
+    def test_removed_event_engine_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            TraciSession(
+                build_scenario("II", seed=3, rows=1, cols=1),
+                engine="meso-events",
+            )
+
     def test_queue_observation(self, session):
         for _ in range(30):
             session.simulationStep()
