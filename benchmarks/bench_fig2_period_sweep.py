@@ -6,13 +6,15 @@ optimum (short periods pay amber, long periods pay responsiveness) and
 UTIL-BP beats every swept period — the figure's message.
 """
 
-from repro.experiments.fig2 import render_fig2, run_fig2
+from repro.experiments.fig2 import FIG2
+from repro.results import run_experiment
 
 PERIODS = (10, 20, 30, 40, 60, 80)
 
 
 def _run():
-    return run_fig2(
+    return run_experiment(
+        FIG2,
         periods=PERIODS,
         engine="meso",
         segment_duration=450.0,  # 4 x 450 s = 30 min mixed horizon
@@ -22,7 +24,7 @@ def _run():
 def test_fig2_shape(benchmark):
     result = benchmark.pedantic(_run, rounds=1, iterations=1)
     print()
-    print(render_fig2(result))
+    print(FIG2.render(result))
     times = result.cap_bp_queuing_times
     # Long periods are clearly worse than the best (right branch rises).
     assert times[-1] > result.best_queuing_time * 1.3

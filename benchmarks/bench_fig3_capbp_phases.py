@@ -7,7 +7,8 @@ of phase lengths is small and the mean tracks the configured period.
 
 import pytest
 
-from repro.experiments.fig34 import run_fig34
+from repro.experiments.fig34 import FIG34
+from repro.results import run_experiment
 from repro.util.series import render_series
 
 DURATION = 800.0
@@ -15,7 +16,9 @@ PERIOD = 18.0
 
 
 def _run():
-    return run_fig34(engine="meso", duration=DURATION, cap_bp_period=PERIOD)
+    return run_experiment(
+        FIG34, engine="meso", duration=DURATION, cap_bp_period=PERIOD
+    )
 
 
 def test_fig3_capbp_fixed_length_phases(benchmark):

@@ -9,14 +9,15 @@ Shape assertions matching the paper's reading of the figure:
   phases (c3, c4).
 """
 
-from repro.experiments.fig34 import run_fig34
+from repro.experiments.fig34 import FIG34
+from repro.results import run_experiment
 from repro.util.series import render_series
 
 DURATION = 800.0
 
 
 def _run():
-    return run_fig34(engine="meso", duration=DURATION)
+    return run_experiment(FIG34, engine="meso", duration=DURATION)
 
 
 def test_fig4_utilbp_adaptive_phases(benchmark):

@@ -6,7 +6,8 @@ statistic of one Poisson sample path, so the comparison averages over
 three seeds and requires the seed-averaged mean queue to be lower.
 """
 
-from repro.experiments.fig5 import render_fig5, run_fig5
+from repro.experiments.fig5 import FIG5
+from repro.results import run_experiment
 
 DURATION = 800.0
 SEEDS = (1, 2, 3)
@@ -14,8 +15,8 @@ SEEDS = (1, 2, 3)
 
 def _run():
     return [
-        run_fig5(
-            engine="meso", duration=DURATION, cap_bp_period=18.0, seed=seed
+        run_experiment(
+            FIG5, engine="meso", duration=DURATION, cap_bp_period=18.0, seed=seed
         )
         for seed in SEEDS
     ]
@@ -24,7 +25,7 @@ def _run():
 def test_fig5_util_bp_shorter_queue(benchmark):
     results = benchmark.pedantic(_run, rounds=1, iterations=1)
     print()
-    print(render_fig5(results[0]))
+    print(FIG5.render(results[0]))
     cap_mean = sum(r.cap_bp_trace.mean() for r in results) / len(results)
     util_mean = sum(r.util_bp_trace.mean() for r in results) / len(results)
     print(

@@ -10,23 +10,20 @@ Sweeps the demand scale under uniform traffic and checks:
   finite).
 """
 
-from repro.experiments.stability import (
-    max_stable_scale,
-    render_stability,
-    run_stability_sweep,
-)
+from repro.experiments.stability import STABILITY, max_stable_scale
+from repro.results import run_experiment
 
 SCALES = (1.0, 1.6, 2.2, 2.8)
 
 
 def _run():
-    return run_stability_sweep(scales=SCALES, duration=1200.0)
+    return run_experiment(STABILITY, scales=SCALES, duration=1200.0)
 
 
 def test_stability_region(benchmark):
     points = benchmark.pedantic(_run, rounds=1, iterations=1)
     print()
-    print(render_stability(points))
+    print(STABILITY.render(points))
     util_max = max_stable_scale(points, "util-bp")
     cap_max = max_stable_scale(points, "cap-bp")
     print(f"max stable scale: util-bp {util_max}, cap-bp {cap_max}")

@@ -6,14 +6,16 @@ beat the best-period CAP-BP on every pattern (the paper reports 5-25 %,
 at least ~13 % on average).
 """
 
-from repro.experiments.table3 import render_table3, run_table3
+from repro.experiments.table3 import TABLE3
+from repro.results import run_experiment
 
 #: Reduced horizon: 20 min per pattern (mixed: 4 x 8 min).
 SCALE = 1 / 3
 
 
 def _run():
-    return run_table3(
+    return run_experiment(
+        TABLE3,
         patterns=("I", "II", "III", "IV", "mixed"),
         engine="meso",
         periods=(10.0, 14.0, 18.0, 22.0, 26.0),
@@ -25,7 +27,7 @@ def _run():
 def test_table3_util_bp_beats_best_cap_bp(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
     print()
-    print(render_table3(rows))
+    print(TABLE3.render(rows))
     mean_improvement = sum(r.improvement_percent for r in rows) / len(rows)
     print(f"mean improvement: {mean_improvement:.1f}% (paper: >= ~13%)")
     for row in rows:

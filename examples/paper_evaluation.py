@@ -9,8 +9,9 @@ Run:  python examples/paper_evaluation.py --engine meso --scale 0.5
 
 import argparse
 
-from repro.experiments.fig2 import render_fig2, run_fig2
-from repro.experiments.table3 import render_table3, run_table3
+from repro.experiments.fig2 import FIG2
+from repro.experiments.table3 import TABLE3
+from repro.results import run_experiment
 
 
 def main() -> None:
@@ -32,21 +33,23 @@ def main() -> None:
 
     print(f"engine={args.engine}, horizon scale={args.scale}\n")
 
-    rows = run_table3(
+    rows = run_experiment(
+        TABLE3,
         engine=args.engine,
         seed=args.seed,
         duration_scale=args.scale,
     )
-    print(render_table3(rows))
+    print(TABLE3.render(rows))
     mean = sum(r.improvement_percent for r in rows) / len(rows)
     print(f"mean improvement: {mean:.1f}% (paper: ~13%)\n")
 
-    fig2 = run_fig2(
+    fig2 = run_experiment(
+        FIG2,
         engine=args.engine,
         seed=args.seed,
         segment_duration=3600.0 * args.scale,
     )
-    print(render_fig2(fig2))
+    print(FIG2.render(fig2))
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ Run:  python examples/phase_traces.py --engine micro
 
 import argparse
 
-from repro.experiments.fig34 import render_fig34, run_fig34
-from repro.experiments.fig5 import render_fig5, run_fig5
+from repro.experiments.fig34 import FIG34
+from repro.experiments.fig5 import FIG5
+from repro.results import run_experiment
 
 
 def main() -> None:
@@ -20,15 +21,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    result34 = run_fig34(
-        engine=args.engine, duration=args.duration, seed=args.seed
+    result34 = run_experiment(
+        FIG34, engine=args.engine, duration=args.duration, seed=args.seed
     )
-    print(render_fig34(result34))
+    print(FIG34.render(result34))
     print()
-    result5 = run_fig5(
-        engine=args.engine, duration=args.duration, seed=args.seed
+    result5 = run_experiment(
+        FIG5, engine=args.engine, duration=args.duration, seed=args.seed
     )
-    print(render_fig5(result5))
+    print(FIG5.render(result5))
 
 
 if __name__ == "__main__":

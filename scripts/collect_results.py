@@ -22,16 +22,13 @@ Usage: python scripts/collect_results.py [--workers N] [--store FILE]
 import argparse
 import time
 
-from repro.experiments.ablations import (
-    ABLATIONS,
-    render_ablation,
-    run_ablation,
-)
-from repro.experiments.fig2 import render_fig2, run_fig2
-from repro.experiments.fig34 import render_fig34, run_fig34
-from repro.experiments.fig5 import render_fig5, run_fig5
-from repro.experiments.table3 import render_table3, run_table3
+from repro.experiments.ablations import ABLATION_EXPERIMENT, ABLATIONS
+from repro.experiments.fig2 import FIG2
+from repro.experiments.fig34 import FIG34
+from repro.experiments.fig5 import FIG5
+from repro.experiments.table3 import TABLE3
 from repro.orchestration import ExperimentPool
+from repro.results import run_experiment
 
 
 def banner(title: str) -> None:
@@ -57,33 +54,35 @@ def main() -> None:
     start = time.time()
 
     banner("Table III — meso engine, full paper horizons (1 h / 4 h mixed)")
-    rows = run_table3(engine="meso", duration_scale=1.0, pool=pool)
-    print(render_table3(rows))
+    rows = run_experiment(TABLE3, pool=pool, engine="meso")
+    print(TABLE3.render(rows))
     mean = sum(r.improvement_percent for r in rows) / len(rows)
     print(f"mean improvement: {mean:.1f}% (paper: ~13%)")
 
     banner("Fig. 2 — meso engine, full mixed horizon (4 h), 10-80 s sweep")
-    print(render_fig2(run_fig2(engine="meso", pool=pool)))
+    print(FIG2.render(run_experiment(FIG2, pool=pool, engine="meso")))
 
     banner("Table III — micro engine, patterns I/IV, 30 min horizons")
-    rows_micro = run_table3(
+    rows_micro = run_experiment(
+        TABLE3,
+        pool=pool,
         patterns=("I", "IV"),
         engine="micro",
         periods=(14.0, 18.0, 22.0),
         duration_scale=0.5,
-        pool=pool,
     )
-    print(render_table3(rows_micro))
+    print(TABLE3.render(rows_micro))
 
     banner("Figs. 3-4 — micro engine, Pattern I, 2000 s")
-    print(render_fig34(run_fig34(engine="micro", pool=pool)))
+    print(FIG34.render(run_experiment(FIG34, pool=pool, engine="micro")))
 
     banner("Fig. 5 — micro engine, Pattern I, 2000 s")
-    print(render_fig5(run_fig5(engine="micro", pool=pool)))
+    print(FIG5.render(run_experiment(FIG5, pool=pool, engine="micro")))
 
     banner("Ablations — meso engine, Pattern I, 1800 s")
     for study in ABLATIONS:
-        print(render_ablation(run_ablation(study, pool=pool)))
+        points = run_experiment(ABLATION_EXPERIMENT, pool=pool, study=study)
+        print(ABLATION_EXPERIMENT.render(points))
         print()
 
     print(

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge smoke gate: lint, tier-1 tests, the scenario catalog, a
-# 2-worker mini-sweep, a sharded sweep + merge (and fleet run) that
-# must export byte-identically to the unsharded run, and the service.
+# 2-worker mini-sweep, the six paper experiment commands (warm output
+# must equal cold), a sharded sweep + merge (and fleet run) that must
+# export byte-identically to the unsharded run, and the service.
 #
 # Usage: bash scripts/smoke.sh
 #
@@ -85,6 +86,33 @@ echo "$WARM" | grep -q "executed 0," \
 
 [[ -f "$STORE" ]] \
     || { echo "smoke FAILED: sweep left no store at $STORE"; exit 1; }
+
+echo
+echo "== paper experiment commands (cold, then warm: identical stdout) =="
+# Every table/figure command runs its registered experiment definition
+# through one store.  The warm pass is served from that store and must
+# print byte for byte what the cold pass printed.
+EXPERIMENTS_STORE="$CACHE_DIR/experiments.sqlite"
+EXPERIMENTS=(
+    "table3 --engine meso --scale 0.02"
+    "fig2 --engine meso --segment 30"
+    "fig34 --engine meso --duration 120"
+    "fig5 --engine meso --duration 120"
+    "ablations alpha-beta-order --duration 60"
+    "stability --duration 60"
+)
+for pass in cold warm; do
+    for index in "${!EXPERIMENTS[@]}"; do
+        read -r -a words <<< "${EXPERIMENTS[$index]}"
+        "$PYTHON" -m repro "${words[@]}" --store "$EXPERIMENTS_STORE" \
+            > "$CACHE_DIR/experiment-$index.$pass"
+    done
+done
+for index in "${!EXPERIMENTS[@]}"; do
+    cmp "$CACHE_DIR/experiment-$index.cold" "$CACHE_DIR/experiment-$index.warm" \
+        || { echo "smoke FAILED: warm '${EXPERIMENTS[$index]}' differs from cold"; exit 1; }
+    echo "${EXPERIMENTS[$index]}: warm stdout == cold stdout"
+done
 
 echo
 echo "== result store inspection =="

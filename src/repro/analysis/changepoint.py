@@ -338,12 +338,14 @@ def onset_interval(
     """Distribution-free confidence interval for the median onset.
 
     Given per-seed onset times, inverts the binomial sign test: the
-    interval ``[x_(l+1), x_(n-l)]`` (order statistics) covers the true
-    median with probability at least ``confidence``, with ``l`` the
-    largest count whose one-sided binomial tail stays within
+    interval ``[x_(k), x_(n+1-k)]`` (1-based order statistics) covers
+    the true median with probability ``1 - 2 P(Bin(n, 1/2) <= k - 1)``,
+    and ``k`` is the largest index keeping that one-sided tail within
     ``(1 - confidence) / 2``.  No distributional assumption on the
-    onsets; for small ``n`` the interval is simply the full range.
-    Returns ``None`` for an empty input.
+    onsets.  The ``confidence`` guarantee needs ``n >= 6`` at the
+    default 0.95; for smaller ``n`` no order statistic can be dropped
+    and the full range, with coverage ``1 - 2**(1 - n)``, is the best
+    possible interval.  Returns ``None`` for an empty input.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
@@ -360,5 +362,7 @@ def onset_interval(
             depth = i + 1
         else:
             break
-    # depth < n/2 always, so both indices stay in range.
-    return ordered[depth], ordered[n - 1 - depth]
+    # depth < n/2 always, so both indices stay in range; depth 0 means
+    # no order statistic can be dropped and the full range is returned.
+    k = max(depth, 1)
+    return ordered[k - 1], ordered[n - k]

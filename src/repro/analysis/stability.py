@@ -447,18 +447,6 @@ class RegimeMap:
     frontier: Tuple[Dict[str, Any], ...]
 
 
-def _entry_queue_pairs(
-    scenario: Any, record_roads: int
-) -> Tuple[Tuple[str, str], ...]:
-    """``(downstream node, road)`` pairs for a scenario's entry roads."""
-    entries = scenario.network.entry_roads()
-    if record_roads > 0:
-        entries = entries[:record_roads]
-    return tuple(
-        (scenario.network.road_destination[road], road) for road in entries
-    )
-
-
 def _build_regime_specs(
     loads: Sequence[float],
     controllers: Sequence,
@@ -467,34 +455,21 @@ def _build_regime_specs(
     duration: float,
     engine: str,
     record_roads: int,
-) -> List[Any]:
-    from repro.orchestration.spec import RunSpec
-    from repro.scenarios import build_named_scenario
+) -> Tuple[Any, ...]:
+    from repro.orchestration.spec import SweepGrid
 
+    # With no scenarios a SweepGrid would fall back to pattern I.
     if not loads:
         raise ValueError("need at least one load level")
-    # The network shape is load- and seed-independent, so one build
-    # resolves the recorded entry roads for every cell.
-    reference = build_named_scenario(pattern, seed=int(seeds[0]))
-    pairs = _entry_queue_pairs(reference, record_roads)
-    return [
-        RunSpec(
-            pattern=pattern,
-            controller=name,
-            controller_params=params or {},
-            engine=engine,
-            seed=int(seed),
-            duration=float(duration),
-            scenario_params={"load": float(load)},
-            record_queues=pairs,
-        )
-        for name, params in (
-            (entry, None) if isinstance(entry, str) else entry
-            for entry in controllers
-        )
-        for load in loads
-        for seed in seeds
-    ]
+    return SweepGrid(
+        scenarios=[(pattern, {"load": float(load)}) for load in loads],
+        controllers=controllers,
+        seeds=seeds,
+        engines=(engine,),
+        durations=(duration,),
+        # record_roads 0 means every entry road, which SweepGrid spells -1.
+        record_entry_queues=-1 if record_roads == 0 else record_roads,
+    ).specs()
 
 
 def _collect_regimes(
@@ -534,7 +509,7 @@ STABILITY_REGIMES = register_experiment(
         ),
         build_specs=_build_regime_specs,
         collect=_collect_regimes,
-        render=lambda regime_map: _render_regimes(regime_map),
+        render=_render_regimes,
         defaults=dict(
             loads=(0.8, 1.2, 1.6),
             controllers=(

@@ -1019,6 +1019,47 @@ def _run_jobs(args: argparse.Namespace) -> int:
         return 2
 
 
+#: Commands that run a registered experiment definition of the same name.
+_EXPERIMENT_COMMANDS = ("table3", "fig2", "fig34", "fig5", "ablations", "stability")
+
+#: Experiment-command flag -> the definition parameter it sets.
+_FLAG_PARAMS = {
+    "engine": "engine",
+    "seed": "seed",
+    "duration": "duration",
+    "scale": "duration_scale",
+    "segment": "segment_duration",
+}
+
+
+def _run_experiment_command(args: argparse.Namespace) -> int:
+    """Run the experiment named by the command with its flags as
+    parameters and print the definition's rendering."""
+    from repro.results.experiment import get_experiment, run_experiment
+
+    definition = get_experiment(args.command)
+    params = {
+        _FLAG_PARAMS[flag]: value
+        for flag, value in vars(args).items()
+        if flag in _FLAG_PARAMS
+    }
+    pool = _make_pool(args)
+    if args.command != "ablations":
+        print(definition.render(run_experiment(definition, pool=pool, **params)))
+        return 0
+
+    from repro.experiments.ablations import ABLATIONS
+
+    for study in [args.study] if args.study else list(ABLATIONS):
+        print(
+            definition.render(
+                run_experiment(definition, pool=pool, study=study, **params)
+            )
+        )
+        print()
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -1075,93 +1116,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "jobs":
         return _run_jobs(args)
 
-    if args.command == "table3":
-        from repro.experiments.table3 import render_table3, run_table3
-
-        rows = run_table3(
-            engine=args.engine, seed=args.seed, duration_scale=args.scale,
-            pool=_make_pool(args),
-        )
-        print(render_table3(rows))
-        return 0
-
-    if args.command == "fig2":
-        from repro.experiments.fig2 import render_fig2, run_fig2
-
-        print(
-            render_fig2(
-                run_fig2(
-                    engine=args.engine,
-                    seed=args.seed,
-                    segment_duration=args.segment,
-                    pool=_make_pool(args),
-                )
-            )
-        )
-        return 0
-
-    if args.command == "fig34":
-        from repro.experiments.fig34 import render_fig34, run_fig34
-
-        print(
-            render_fig34(
-                run_fig34(
-                    engine=args.engine,
-                    duration=args.duration,
-                    seed=args.seed,
-                    pool=_make_pool(args),
-                )
-            )
-        )
-        return 0
-
-    if args.command == "fig5":
-        from repro.experiments.fig5 import render_fig5, run_fig5
-
-        print(
-            render_fig5(
-                run_fig5(
-                    engine=args.engine,
-                    duration=args.duration,
-                    seed=args.seed,
-                    pool=_make_pool(args),
-                )
-            )
-        )
-        return 0
-
-    if args.command == "ablations":
-        from repro.experiments.ablations import (
-            ABLATIONS,
-            render_ablation,
-            run_ablation,
-        )
-
-        pool = _make_pool(args)
-        studies = [args.study] if args.study else list(ABLATIONS)
-        for study in studies:
-            print(
-                render_ablation(
-                    run_ablation(study, duration=args.duration, pool=pool)
-                )
-            )
-            print()
-        return 0
-
-    if args.command == "stability":
-        from repro.experiments.stability import (
-            render_stability,
-            run_stability_sweep,
-        )
-
-        print(
-            render_stability(
-                run_stability_sweep(
-                    duration=args.duration, pool=_make_pool(args)
-                )
-            )
-        )
-        return 0
+    if args.command in _EXPERIMENT_COMMANDS:
+        return _run_experiment_command(args)
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -18,8 +18,8 @@ tables and figures.
 
 Each table/figure driver is declared as an
 :class:`~repro.results.experiment.ExperimentDefinition` (a spec
-builder, an aggregation recipe, a renderer) registered under its name;
-``run_<driver>`` wrappers call
+builder, an aggregation recipe, a renderer and its default
+parameters) registered under its name, and is run with
 :func:`repro.results.experiment.run_experiment`, so every driver
 executes through the shared pool + result store and gains resume and
 cross-driver cell sharing.

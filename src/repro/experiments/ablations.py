@@ -26,24 +26,18 @@ controller parameter, which the definition's spec builder handles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.experiments.runner import RunResult
-from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.orchestration import RunSpec
+from repro.results.experiment import ExperimentDefinition, register_experiment
 from repro.util.tables import render_table
 
 __all__ = [
     "AblationPoint",
     "ABLATION_EXPERIMENT",
-    "run_ablation",
     "ABLATIONS",
     "render_ablation",
-    "main",
 ]
 
 
@@ -170,74 +164,6 @@ def _collect(
     ]
 
 
-ABLATION_EXPERIMENT = register_experiment(
-    ExperimentDefinition(
-        name="ablations",
-        description=(
-            "design-choice ablation studies (transition duration, "
-            "alpha/beta order, keep margin, mini-slot cadence, "
-            "controller family)"
-        ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=lambda points: render_ablation(points),
-        defaults=dict(
-            study="controller-family",
-            pattern="I",
-            seed=1,
-            duration=1800.0,
-            engine="meso",
-            mini_slots=(1.0, 2.0, 5.0),
-        ),
-    )
-)
-
-
-def run_ablation(
-    study: str,
-    pattern: str = "I",
-    seed: int = 1,
-    duration: float = 1800.0,
-    engine: str = "meso",
-    pool: Optional[ExperimentPool] = None,
-) -> List[AblationPoint]:
-    """Run one named ablation study; see :data:`ABLATIONS` for names.
-
-    All configurations of the study are submitted to the pool as one
-    batch, so studies parallelize across workers.
-    """
-    return run_experiment(
-        ABLATION_EXPERIMENT,
-        pool=pool,
-        study=study,
-        pattern=pattern,
-        seed=seed,
-        duration=duration,
-        engine=engine,
-    )
-
-
-def run_mini_slot_ablation(
-    pattern: str = "I",
-    seed: int = 1,
-    duration: float = 1800.0,
-    engine: str = "meso",
-    mini_slots: Sequence[float] = (1.0, 2.0, 5.0),
-    pool: Optional[ExperimentPool] = None,
-) -> List[AblationPoint]:
-    """The mini-slot study with an explicit cadence grid."""
-    return run_experiment(
-        ABLATION_EXPERIMENT,
-        pool=pool,
-        study="mini-slot",
-        pattern=pattern,
-        seed=seed,
-        duration=duration,
-        engine=engine,
-        mini_slots=tuple(float(m) for m in mini_slots),
-    )
-
-
 def render_ablation(points: Sequence[AblationPoint]) -> str:
     """ASCII table of one study's outcomes."""
     if not points:
@@ -258,13 +184,24 @@ def render_ablation(points: Sequence[AblationPoint]) -> str:
     )
 
 
-def main() -> None:
-    """Run every ablation study on the meso engine and print tables."""
-    pool = ExperimentPool()
-    for study in ABLATIONS:
-        print(render_ablation(run_ablation(study, pool=pool)))
-        print()
-
-
-if __name__ == "__main__":
-    main()
+ABLATION_EXPERIMENT = register_experiment(
+    ExperimentDefinition(
+        name="ablations",
+        description=(
+            "design-choice ablation studies (transition duration, "
+            "alpha/beta order, keep margin, mini-slot cadence, "
+            "controller family)"
+        ),
+        build_specs=_build_specs,
+        collect=_collect,
+        render=render_ablation,
+        defaults=dict(
+            study="controller-family",
+            pattern="I",
+            seed=1,
+            duration=1800.0,
+            engine="meso",
+            mini_slots=(1.0, 2.0, 5.0),
+        ),
+    )
+)

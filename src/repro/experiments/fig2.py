@@ -15,18 +15,14 @@ results into :class:`Fig2Result`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Sequence, Tuple
 
 from repro.experiments.runner import RunResult
-from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.orchestration import RunSpec
+from repro.results.experiment import ExperimentDefinition, register_experiment
 from repro.util.series import TimeSeries, render_series
 
-__all__ = ["Fig2Result", "FIG2", "run_fig2", "render_fig2", "main"]
+__all__ = ["Fig2Result", "FIG2", "render_fig2"]
 
 #: The paper's sweep grid (Fig. 2 x-axis).
 PAPER_PERIODS: Tuple[float, ...] = (10, 20, 30, 40, 50, 60, 70, 80)
@@ -148,48 +144,7 @@ FIG2 = register_experiment(
             periods=PAPER_PERIODS,
             engine="micro",
             seed=1,
-            segment_duration=3600.0,
+            segment_duration=3600.0,  # paper: 4 x 1 h mixed segments
         ),
     )
 )
-
-
-def run_fig2(
-    periods: Sequence[float] = PAPER_PERIODS,
-    engine: str = "micro",
-    seed: int = 1,
-    segment_duration: float = 3600.0,
-    pool: Optional[ExperimentPool] = None,
-) -> Fig2Result:
-    """Regenerate Fig. 2.
-
-    Parameters
-    ----------
-    periods:
-        CAP-BP control periods to sweep.
-    engine / seed:
-        As elsewhere.
-    segment_duration:
-        Mixed-pattern segment length (paper: 3600 s -> 4 h total).
-        Benchmarks shrink it.
-    pool:
-        Orchestration pool to execute the sweep on; defaults to a
-        serial in-process pool.
-    """
-    return run_experiment(
-        FIG2,
-        pool=pool,
-        periods=tuple(periods),
-        engine=engine,
-        seed=seed,
-        segment_duration=segment_duration,
-    )
-
-
-def main() -> None:
-    """Full reproduction at paper horizons on the micro engine."""
-    print(render_fig2(run_fig2()))
-
-
-if __name__ == "__main__":
-    main()

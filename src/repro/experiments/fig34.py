@@ -17,16 +17,12 @@ the same runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.experiments.runner import RunResult
 from repro.metrics.traces import PhaseTrace
-from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.orchestration import RunSpec
+from repro.results.experiment import ExperimentDefinition, register_experiment
 from repro.util.series import render_series
 from repro.util.tables import render_table
 
@@ -34,9 +30,7 @@ __all__ = [
     "Fig34Result",
     "FIG34",
     "TOP_RIGHT_NODE",
-    "run_fig34",
     "render_fig34",
-    "main",
 ]
 
 #: The north-eastern (top-right) intersection of the 3x3 grid.
@@ -180,42 +174,8 @@ FIG34 = register_experiment(
             engine="micro",
             seed=1,
             duration=PAPER_HORIZON,
-            cap_bp_period=18.0,
+            cap_bp_period=18.0,  # the best Pattern I period of Table III
             node_id=TOP_RIGHT_NODE,
         ),
     )
 )
-
-
-def run_fig34(
-    engine: str = "micro",
-    seed: int = 1,
-    duration: float = PAPER_HORIZON,
-    cap_bp_period: float = 18.0,
-    node_id: str = TOP_RIGHT_NODE,
-    pool: Optional[ExperimentPool] = None,
-) -> Fig34Result:
-    """Regenerate the data behind Figs. 3 and 4.
-
-    ``cap_bp_period`` defaults to the paper's optimal period for
-    Pattern I (18 s, Table III).  Both controller runs are submitted to
-    the pool as one batch.
-    """
-    return run_experiment(
-        FIG34,
-        pool=pool,
-        engine=engine,
-        seed=seed,
-        duration=duration,
-        cap_bp_period=cap_bp_period,
-        node_id=node_id,
-    )
-
-
-def main() -> None:
-    """Full reproduction at the paper's 2000 s horizon."""
-    print(render_fig34(run_fig34()))
-
-
-if __name__ == "__main__":
-    main()

@@ -11,22 +11,18 @@ declared as the :data:`FIG5`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
 from repro.experiments.fig34 import PAPER_HORIZON, TOP_RIGHT_NODE
 from repro.experiments.runner import RunResult
 from repro.metrics.traces import QueueTrace
 from repro.model.grid import entry_road_id
 from repro.model.geometry import Direction
-from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.orchestration import RunSpec
+from repro.results.experiment import ExperimentDefinition, register_experiment
 from repro.util.series import render_series
 
-__all__ = ["Fig5Result", "FIG5", "EAST_IN_ROAD", "run_fig5", "render_fig5", "main"]
+__all__ = ["Fig5Result", "FIG5", "EAST_IN_ROAD", "render_fig5"]
 
 #: The incoming road from the east at the top-right intersection.
 EAST_IN_ROAD = entry_road_id(Direction.E, TOP_RIGHT_NODE)
@@ -137,32 +133,3 @@ FIG5 = register_experiment(
         ),
     )
 )
-
-
-def run_fig5(
-    engine: str = "micro",
-    seed: int = 1,
-    duration: float = PAPER_HORIZON,
-    cap_bp_period: float = 18.0,
-    sample_interval: float = 5.0,
-    pool: Optional[ExperimentPool] = None,
-) -> Fig5Result:
-    """Regenerate the data behind Fig. 5."""
-    return run_experiment(
-        FIG5,
-        pool=pool,
-        engine=engine,
-        seed=seed,
-        duration=duration,
-        cap_bp_period=cap_bp_period,
-        sample_interval=sample_interval,
-    )
-
-
-def main() -> None:
-    """Full reproduction at the paper's 2000 s horizon."""
-    print(render_fig5(run_fig5()))
-
-
-if __name__ == "__main__":
-    main()

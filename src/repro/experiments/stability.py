@@ -21,24 +21,18 @@ Declared as the :data:`STABILITY`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
 from repro.experiments.runner import RunResult
 from repro.scenarios.core import build_scenario
-from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.orchestration import RunSpec
+from repro.results.experiment import ExperimentDefinition, register_experiment
 from repro.util.tables import render_table
 
 __all__ = [
     "StabilityPoint",
     "STABILITY",
-    "run_stability_sweep",
     "render_stability",
-    "main",
 ]
 
 
@@ -119,69 +113,6 @@ def _collect(
     ]
 
 
-STABILITY = register_experiment(
-    ExperimentDefinition(
-        name="stability",
-        description=(
-            "demand-scale stability sweep (Sec. IV-Q1): queue "
-            "boundedness per controller as arrival rates scale up"
-        ),
-        build_specs=_build_specs,
-        collect=_collect,
-        render=lambda points: render_stability(points),
-        defaults=dict(
-            scales=(0.6, 0.8, 1.0, 1.2, 1.4),
-            controllers=(
-                ("util-bp", None),
-                ("cap-bp", {"period": 18.0}),
-            ),
-            pattern="II",
-            seed=1,
-            duration=1800.0,
-            engine="meso",
-        ),
-    )
-)
-
-
-def run_stability_sweep(
-    scales: Sequence[float] = (0.6, 0.8, 1.0, 1.2, 1.4),
-    controllers: Sequence = (
-        ("util-bp", None),
-        ("cap-bp", {"period": 18.0}),
-    ),
-    pattern: str = "II",
-    seed: int = 1,
-    duration: float = 1800.0,
-    pool: Optional[ExperimentPool] = None,
-) -> List[StabilityPoint]:
-    """Sweep demand scales for each controller (uniform Pattern II).
-
-    The whole (controller x scale) grid is submitted to the pool as one
-    batch; terminal occupancy comes from the runner's
-    ``vehicles_in_network`` / ``backlog`` result fields.
-    """
-    return run_experiment(
-        STABILITY,
-        pool=pool,
-        scales=tuple(scales),
-        controllers=tuple(controllers),
-        pattern=pattern,
-        seed=seed,
-        duration=duration,
-    )
-
-
-def max_stable_scale(points: Sequence[StabilityPoint], controller: str) -> float:
-    """Largest swept demand scale the controller kept stable (0 if none)."""
-    stable = [
-        p.demand_scale
-        for p in points
-        if p.controller == controller and p.stable
-    ]
-    return max(stable) if stable else 0.0
-
-
 def render_stability(points: Sequence[StabilityPoint]) -> str:
     """ASCII table of the sweep."""
     rows = [
@@ -209,13 +140,36 @@ def render_stability(points: Sequence[StabilityPoint]) -> str:
     )
 
 
-def main() -> None:
-    """Run the demand-scale sweep and print its table (CLI shim)."""
-    points = run_stability_sweep()
-    print(render_stability(points))
-    for name in ("util-bp", "cap-bp"):
-        print(f"max stable demand scale, {name}: {max_stable_scale(points, name):.1f}")
+STABILITY = register_experiment(
+    ExperimentDefinition(
+        name="stability",
+        description=(
+            "demand-scale stability sweep (Sec. IV-Q1): queue "
+            "boundedness per controller as arrival rates scale up"
+        ),
+        build_specs=_build_specs,
+        collect=_collect,
+        render=render_stability,
+        defaults=dict(
+            scales=(0.6, 0.8, 1.0, 1.2, 1.4),
+            controllers=(
+                ("util-bp", None),
+                ("cap-bp", {"period": 18.0}),
+            ),
+            pattern="II",
+            seed=1,
+            duration=1800.0,
+            engine="meso",
+        ),
+    )
+)
 
 
-if __name__ == "__main__":
-    main()
+def max_stable_scale(points: Sequence[StabilityPoint], controller: str) -> float:
+    """Largest swept demand scale the controller kept stable (0 if none)."""
+    stable = [
+        p.demand_scale
+        for p in points
+        if p.controller == controller and p.stable
+    ]
+    return max(stable) if stable else 0.0

@@ -21,21 +21,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.runner import RunResult
 from repro.scenarios.core import DEFAULT_DURATIONS
-from repro.orchestration import ExperimentPool, RunSpec
-from repro.results.experiment import (
-    ExperimentDefinition,
-    register_experiment,
-    run_experiment,
-)
+from repro.orchestration import RunSpec
+from repro.results.experiment import ExperimentDefinition, register_experiment
 from repro.util.tables import render_table
 
 __all__ = [
     "Table3Row",
     "TABLE3",
     "PAPER_TABLE3",
-    "run_table3",
     "render_table3",
-    "main",
 ]
 
 #: The paper's Table III: pattern -> (CAP-BP best period [s],
@@ -194,67 +188,13 @@ TABLE3 = register_experiment(
         render=render_table3,
         defaults=dict(
             patterns=("I", "II", "III", "IV", "mixed"),
-            engine="micro",
+            engine="micro",  # paper-faithful; "meso" is the fast engine
             seed=1,
             periods=DEFAULT_PERIODS,
+            # Multiplier on the paper's horizons (1 h per pattern, 4 h mixed).
             duration_scale=1.0,
+            # None: 3600 * duration_scale per mixed-pattern segment.
             mixed_segment_duration=None,
         ),
     )
 )
-
-
-def run_table3(
-    patterns: Sequence[str] = ("I", "II", "III", "IV", "mixed"),
-    engine: str = "micro",
-    seed: int = 1,
-    periods: Sequence[float] = DEFAULT_PERIODS,
-    duration_scale: float = 1.0,
-    mixed_segment_duration: Optional[float] = None,
-    pool: Optional[ExperimentPool] = None,
-) -> List[Table3Row]:
-    """Reproduce Table III.
-
-    Parameters
-    ----------
-    patterns:
-        Which Table II patterns to include.
-    engine:
-        ``"micro"`` (paper-faithful) or ``"meso"`` (fast).
-    seed:
-        Scenario seed; both controllers see identical demand.
-    periods:
-        CAP-BP period grid to sweep.
-    duration_scale:
-        Multiplier on the paper's horizons (1 h per pattern, 4 h
-        mixed).  Benchmarks use < 1 to stay CI-friendly.
-    mixed_segment_duration:
-        Override for the mixed pattern's per-segment length; defaults
-        to ``3600 * duration_scale``.
-    pool:
-        Orchestration pool; every (pattern x period) cell plus the
-        UTIL-BP reference runs are submitted as one batch, so the whole
-        table parallelizes.  Defaults to a serial in-process pool.
-    """
-    return run_experiment(
-        TABLE3,
-        pool=pool,
-        patterns=tuple(patterns),
-        engine=engine,
-        seed=seed,
-        periods=tuple(periods),
-        duration_scale=duration_scale,
-        mixed_segment_duration=mixed_segment_duration,
-    )
-
-
-def main() -> None:
-    """Full reproduction at paper horizons on the micro engine."""
-    rows = run_table3()
-    print(render_table3(rows))
-    mean = sum(r.improvement_percent for r in rows) / len(rows)
-    print(f"mean improvement: {mean:.1f}% (paper: ~13%)")
-
-
-if __name__ == "__main__":
-    main()

@@ -23,10 +23,11 @@ Map of the package
 
 * :mod:`repro.results.experiment` — **how experiments are declared.**
   :class:`ExperimentDefinition` (name, specs builder, aggregation
-  recipe, renderer) and its registry.  All six paper drivers (table3,
-  fig2, fig34, fig5, ablations, stability) are definitions;
-  :func:`run_experiment` executes any of them against a shared pool and
-  store, so cells common to several drivers are computed exactly once.
+  recipe, renderer) and its registry.  Seven definitions register: the
+  six paper drivers (table3, fig2, fig34, fig5, ablations, stability)
+  and the regime analysis (stability-regimes); :func:`run_experiment`
+  is the one way to run any of them against a shared pool and store,
+  so cells common to several drivers are computed exactly once.
 
 Command-line surface: ``repro sweep --store`` fills a
 store, ``repro results {list,show,export}`` inspects one, and

@@ -13,9 +13,11 @@ resume, and cross-driver cell sharing (two definitions that request
 the same cell through one pool/store compute it once).
 
 Definitions register by name; :func:`run_experiment` accepts either a
-definition or its name.  The six built-in drivers
-(``table3``, ``fig2``, ``fig34``, ``fig5``, ``ablations``,
-``stability``) register when their modules import;
+definition or its name and is the one way to run an experiment, so a
+driver's defaults live only in its definition.  The seven built-in
+definitions (the paper drivers ``table3``, ``fig2``, ``fig34``,
+``fig5``, ``ablations``, ``stability`` and the regime analysis
+``stability-regimes``) register when their modules import;
 :func:`load_builtin_experiments` forces that for name-based lookup.
 """
 
@@ -102,7 +104,7 @@ def experiment_names() -> Tuple[str, ...]:
 
 
 def load_builtin_experiments() -> Tuple[str, ...]:
-    """Import the six built-in drivers so their definitions register."""
+    """Import the built-in driver modules so their definitions register."""
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)
     return experiment_names()

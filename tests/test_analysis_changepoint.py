@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ def noisy_series(n, rng, shift_at=None, magnitude=6.0):
     values = rng.normal(0.0, 1.0, size=n)
     if shift_at is not None:
         values[shift_at:] += magnitude
+    return values
+
+
+def random_coefficient_ar(n, rng):
+    """x_k = (0.5 + b_k) x_(k-1) + e_k with b_k ~ N(0, 0.3^2), e_k ~ N(0, 1):
+    a stationary null with randomly varying persistence."""
+    values = np.zeros(n)
+    for k in range(1, n):
+        values[k] = (0.5 + rng.normal(0.0, 0.3)) * values[k - 1] + rng.normal()
     return values
 
 
@@ -125,6 +136,18 @@ class TestDetectChangepoint:
         rng = np.random.default_rng(13)
         assert detect_changepoint(noisy_series(200, rng)) is None
 
+    @pytest.mark.parametrize(
+        "null", (noisy_series, random_coefficient_ar), ids=("iid", "rc-ar")
+    )
+    def test_null_false_positive_rate(self, null):
+        # Default calibration on shift-free series: at most 10 of 100
+        # length-200 series may be flagged.
+        rng = np.random.default_rng(2104)
+        flagged = sum(
+            detect_changepoint(null(200, rng)) is not None for _ in range(100)
+        )
+        assert flagged <= 10
+
     def test_constant_and_short_series_return_none(self):
         assert detect_changepoint(np.full(100, 2.0)) is None
         assert detect_changepoint(np.arange(MIN_POINTS - 1.0)) is None
@@ -185,6 +208,7 @@ class TestOnsetInterval:
     def test_small_n_gives_full_range(self):
         # n=2: no order statistic can be discarded at 95%.
         assert onset_interval([460.0, 565.0]) == (460.0, 565.0)
+        assert onset_interval([5.0, 1.0, 3.0, 2.0, 4.0]) == (1.0, 5.0)
 
     def test_interval_brackets_the_median(self):
         onsets = [float(t) for t in range(100, 1100, 100)]
@@ -192,6 +216,15 @@ class TestOnsetInterval:
         median = (onsets[4] + onsets[5]) / 2.0
         assert lo <= median <= hi
         assert lo >= onsets[0] and hi <= onsets[-1]
+
+    @pytest.mark.parametrize("n", (6, 9, 15, 31))
+    def test_covers_the_median_at_the_stated_confidence(self, n):
+        # Skewed onsets: Exponential(1), true median ln 2.
+        draws = np.random.default_rng(n).exponential(1.0, size=(2000, n))
+        covered = sum(
+            lo <= math.log(2.0) <= hi for lo, hi in map(onset_interval, draws)
+        )
+        assert covered / len(draws) >= 0.93
 
     def test_large_n_tightens(self):
         wide = onset_interval([float(t) for t in range(10)])

@@ -229,3 +229,50 @@ class TestRegimesExperiment:
         }
         assert all(len(spec.record_queues) == 12 for spec in specs)
         assert {spec.controller for spec in specs} == {"util-bp", "cap-bp"}
+
+    @pytest.mark.parametrize("record_roads", (0, 2))
+    def test_specs_keep_their_hashes(self, record_roads):
+        """The grid expansion yields the cells the hand-built list did,
+        so stores written before it keep serving."""
+        from repro.analysis.stability import STABILITY_REGIMES
+        from repro.orchestration.spec import RunSpec
+        from repro.scenarios import build_named_scenario
+
+        loads, seeds = (0.8, 1.6), (1, 2)
+        controllers = (("util-bp", None), ("cap-bp", {"period": 18.0}))
+        network = build_named_scenario("steady-3x3", seed=1).network
+        entries = network.entry_roads()
+        if record_roads > 0:
+            entries = entries[:record_roads]
+        pairs = tuple((network.road_destination[r], r) for r in entries)
+        hand_built = [
+            RunSpec(
+                pattern="steady-3x3",
+                controller=name,
+                controller_params=params or {},
+                engine="meso-counts",
+                seed=seed,
+                duration=300.0,
+                scenario_params={"load": load},
+                record_queues=pairs,
+            )
+            for name, params in controllers
+            for load in loads
+            for seed in seeds
+        ]
+        specs = STABILITY_REGIMES.specs(
+            loads=loads,
+            controllers=controllers,
+            seeds=seeds,
+            duration=300.0,
+            record_roads=record_roads,
+        )
+        assert sorted(s.spec_hash() for s in specs) == sorted(
+            s.spec_hash() for s in hand_built
+        )
+
+    def test_empty_loads_rejected(self):
+        from repro.analysis.stability import STABILITY_REGIMES
+
+        with pytest.raises(ValueError, match="load level"):
+            STABILITY_REGIMES.specs(loads=())

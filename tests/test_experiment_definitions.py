@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.experiments.ablations import run_ablation
-from repro.experiments.fig2 import FIG2, Fig2Result, run_fig2
-from repro.experiments.fig34 import run_fig34
-from repro.experiments.table3 import TABLE3, Table3Row, run_table3
+from repro.experiments.fig2 import FIG2, Fig2Result
+from repro.experiments.table3 import TABLE3
 from repro.orchestration import ExperimentPool, RunSpec
 from repro.results import (
     ExperimentDefinition,
@@ -105,7 +103,6 @@ class TestPreRefactorEquivalence:
             ),
             util_bp_queuing_time=results[-1].average_queuing_time,
         )
-        assert run_fig2(**FIG2_SMALL) == expected
         assert run_experiment("fig2", **FIG2_SMALL) == expected
 
     def test_definition_specs_match_driver_specs(self):
@@ -113,21 +110,15 @@ class TestPreRefactorEquivalence:
             FIG2.build_specs(**FIG2.params(**FIG2_SMALL))
         )
 
-    def test_table3_via_name_equals_wrapper(self):
-        by_name = run_experiment("table3", **TABLE3_SMALL)
-        by_wrapper = run_table3(**TABLE3_SMALL)
-        assert by_name == by_wrapper
-        assert isinstance(by_name[0], Table3Row)
-
 
 class TestSharedStore:
     def test_rerun_through_store_executes_nothing(self, tmp_path):
         cold = ExperimentPool(store=tmp_path / "s.sqlite")
-        first = run_fig2(**FIG2_SMALL, pool=cold)
+        first = run_experiment("fig2", pool=cold, **FIG2_SMALL)
         assert cold.stats.executed == len(FIG2_SMALL["periods"]) + 1
 
         warm = ExperimentPool(store=tmp_path / "s.sqlite")
-        second = run_fig2(**FIG2_SMALL, pool=warm)
+        second = run_experiment("fig2", pool=warm, **FIG2_SMALL)
         assert warm.stats.executed == 0
         assert warm.stats.cache_hits == cold.stats.executed
         assert second == first
@@ -136,29 +127,33 @@ class TestSharedStore:
         """fig2 and table3 both sweep mixed-pattern CAP-BP periods; a
         shared store computes the overlapping cells exactly once."""
         pool = ExperimentPool(store=tmp_path / "s.sqlite")
-        run_fig2(
-            periods=(12.0, 20.0), engine="meso", seed=1,
-            segment_duration=180.0, pool=pool,
+        run_experiment(
+            "fig2", pool=pool, periods=(12.0, 20.0), engine="meso", seed=1,
+            segment_duration=180.0,
         )
         executed_by_fig2 = pool.stats.executed
         # table3 on the mixed pattern at the same horizon/segment hits
         # the same (mixed, cap-bp period, meso, seed 1) cells.
-        run_table3(
+        run_experiment(
+            "table3",
+            pool=pool,
             patterns=("mixed",),
             engine="meso",
             seed=1,
             periods=(12.0, 20.0),
             duration_scale=0.05,  # 4 h * 0.05 = 720 s = 4 * 180 s
             mixed_segment_duration=180.0,
-            pool=pool,
         )
         assert pool.stats.cache_hits >= 3  # 2 periods + util reference
         assert pool.stats.executed == executed_by_fig2
 
     def test_different_drivers_one_pool_accumulate_stats(self, tmp_path):
         pool = ExperimentPool(store=tmp_path / "s.sqlite")
-        run_fig34(engine="meso", duration=120.0, pool=pool)
-        run_ablation("alpha-beta-order", pattern="II", duration=60.0, pool=pool)
+        run_experiment("fig34", pool=pool, engine="meso", duration=120.0)
+        run_experiment(
+            "ablations", pool=pool, study="alpha-beta-order", pattern="II",
+            duration=60.0,
+        )
         assert pool.stats.executed == 4  # 2 fig34 cells + 2 ablation cells
         assert len(pool.store.query()) == 4
 

@@ -2,26 +2,18 @@
 
 import pytest
 
-from repro.experiments.ablations import (
-    ABLATIONS,
-    render_ablation,
-    run_ablation,
-    run_mini_slot_ablation,
-)
-from repro.experiments.fig2 import Fig2Result, render_fig2, run_fig2
-from repro.experiments.fig34 import render_fig34, run_fig34
-from repro.experiments.fig5 import render_fig5, run_fig5
-from repro.experiments.table3 import (
-    PAPER_TABLE3,
-    Table3Row,
-    render_table3,
-    run_table3,
-)
+from repro.experiments.ablations import ABLATIONS, render_ablation
+from repro.experiments.fig2 import Fig2Result, render_fig2
+from repro.experiments.fig34 import render_fig34
+from repro.experiments.fig5 import render_fig5
+from repro.experiments.table3 import PAPER_TABLE3, Table3Row, render_table3
+from repro.results import run_experiment
 
 
 class TestTable3Driver:
     def test_small_run(self):
-        rows = run_table3(
+        rows = run_experiment(
+            "table3",
             patterns=("II",),
             engine="meso",
             periods=(12.0, 20.0),
@@ -29,6 +21,7 @@ class TestTable3Driver:
         )
         assert len(rows) == 1
         row = rows[0]
+        assert isinstance(row, Table3Row)
         assert row.pattern == "II"
         assert row.cap_bp_best_period in (12.0, 20.0)
         assert row.util_bp_queuing_time > 0
@@ -54,13 +47,13 @@ class TestTable3Driver:
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
-            run_table3(duration_scale=0.0)
+            run_experiment("table3", duration_scale=0.0)
 
 
 class TestFig2Driver:
     def test_small_sweep(self):
-        result = run_fig2(
-            periods=(12, 24), engine="meso", segment_duration=60.0
+        result = run_experiment(
+            "fig2", periods=(12, 24), engine="meso", segment_duration=60.0
         )
         assert len(result.cap_bp_queuing_times) == 2
         assert result.best_period in (12.0, 24.0)
@@ -87,12 +80,12 @@ class TestFig2Driver:
 
     def test_empty_periods_rejected(self):
         with pytest.raises(ValueError):
-            run_fig2(periods=())
+            run_experiment("fig2", periods=())
 
 
 class TestFig34Driver:
     def test_traces_recorded(self):
-        result = run_fig34(engine="meso", duration=200.0)
+        result = run_experiment("fig34", engine="meso", duration=200.0)
         assert result.cap_bp_trace.node_id == "J02"
         assert result.util_bp_trace.switch_count() >= 0
         stats = result.stats()
@@ -103,19 +96,19 @@ class TestFig34Driver:
         assert sum(shares) == pytest.approx(1.0)
 
     def test_render(self):
-        result = run_fig34(engine="meso", duration=150.0)
+        result = run_experiment("fig34", engine="meso", duration=150.0)
         out = render_fig34(result)
         assert "Fig. 3" in out and "Fig. 4" in out
 
 
 class TestFig5Driver:
     def test_traces_recorded(self):
-        result = run_fig5(engine="meso", duration=200.0)
+        result = run_experiment("fig5", engine="meso", duration=200.0)
         assert len(result.cap_bp_trace.series) > 0
         assert len(result.util_bp_trace.series) > 0
 
     def test_render(self):
-        result = run_fig5(engine="meso", duration=150.0)
+        result = run_experiment("fig5", engine="meso", duration=150.0)
         assert "Fig. 5" in render_fig5(result)
 
 
@@ -129,29 +122,35 @@ class TestAblations:
         }
 
     def test_alpha_beta_study(self):
-        points = run_ablation(
-            "alpha-beta-order", pattern="II", duration=120.0
+        points = run_experiment(
+            "ablations", study="alpha-beta-order", pattern="II", duration=120.0
         )
         assert len(points) == 2
         assert all(p.average_queuing_time >= 0 for p in points)
 
     def test_mini_slot_study(self):
-        points = run_mini_slot_ablation(
-            pattern="II", duration=120.0, mini_slots=(1.0, 5.0)
+        points = run_experiment(
+            "ablations",
+            study="mini-slot",
+            pattern="II",
+            duration=120.0,
+            mini_slots=(1.0, 5.0),
         )
         assert [p.params["mini_slot"] for p in points] == [1.0, 5.0]
 
     def test_mini_slot_dispatch(self):
-        points = run_ablation("mini-slot", pattern="II", duration=60.0)
+        points = run_experiment(
+            "ablations", study="mini-slot", pattern="II", duration=60.0
+        )
         assert points  # dispatched to the runner-cadence variant
 
     def test_unknown_study_rejected(self):
         with pytest.raises(ValueError):
-            run_ablation("nonexistent")
+            run_experiment("ablations", study="nonexistent")
 
     def test_render(self):
-        points = run_ablation(
-            "alpha-beta-order", pattern="II", duration=60.0
+        points = run_experiment(
+            "ablations", study="alpha-beta-order", pattern="II", duration=60.0
         )
         out = render_ablation(points)
         assert "alpha-beta-order" in out

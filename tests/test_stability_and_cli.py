@@ -3,17 +3,19 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.ablations import ABLATIONS
 from repro.experiments.stability import (
     StabilityPoint,
     max_stable_scale,
     render_stability,
-    run_stability_sweep,
 )
+from repro.results import get_experiment, run_experiment
 
 
 class TestStability:
     def test_small_sweep_runs(self):
-        points = run_stability_sweep(
+        points = run_experiment(
+            "stability",
             scales=(0.5, 1.0),
             controllers=(("util-bp", None),),
             duration=200.0,
@@ -22,8 +24,11 @@ class TestStability:
         assert all(p.controller == "util-bp" for p in points)
 
     def test_light_demand_stable(self):
-        points = run_stability_sweep(
-            scales=(0.5,), controllers=(("util-bp", None),), duration=400.0
+        points = run_experiment(
+            "stability",
+            scales=(0.5,),
+            controllers=(("util-bp", None),),
+            duration=400.0,
         )
         assert points[0].stable
 
@@ -58,14 +63,17 @@ class TestStability:
         assert max_stable_scale(points, "other") == 0.0
 
     def test_render(self):
-        points = run_stability_sweep(
-            scales=(0.5,), controllers=(("util-bp", None),), duration=100.0
+        points = run_experiment(
+            "stability",
+            scales=(0.5,),
+            controllers=(("util-bp", None),),
+            duration=100.0,
         )
         assert "Stability sweep" in render_stability(points)
 
     def test_empty_scales_rejected(self):
         with pytest.raises(ValueError):
-            run_stability_sweep(scales=())
+            run_experiment("stability", scales=())
 
 
 class TestCli:
@@ -99,6 +107,44 @@ class TestCli:
         code = main(["ablations", "alpha-beta-order", "--duration", "60"])
         assert code == 0
         assert "alpha-beta-order" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, name, params",
+        (
+            # table3 and fig2 default to meso on the CLI, micro in the
+            # definitions.
+            (["table3", "--scale", "0.01", "--seed", "2"], "table3",
+             dict(engine="meso", duration_scale=0.01, seed=2)),
+            (["fig2", "--segment", "20", "--seed", "2"], "fig2",
+             dict(engine="meso", segment_duration=20.0, seed=2)),
+            (["fig34", "--engine", "meso", "--duration", "60", "--seed", "2"],
+             "fig34", dict(engine="meso", duration=60.0, seed=2)),
+            (["fig5", "--engine", "meso", "--duration", "60", "--seed", "2"],
+             "fig5", dict(engine="meso", duration=60.0, seed=2)),
+            (["stability", "--duration", "40"], "stability",
+             dict(duration=40.0)),
+        ),
+        ids=("table3", "fig2", "fig34", "fig5", "stability"),
+    )
+    def test_experiment_command_prints_the_definition(
+        self, argv, name, params, capsys
+    ):
+        definition = get_experiment(name)
+        expected = definition.render(run_experiment(name, **params))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_ablations_command_prints_every_study(self, capsys):
+        definition = get_experiment("ablations")
+        expected = "".join(
+            definition.render(
+                run_experiment(definition, study=study, duration=20.0)
+            )
+            + "\n\n"
+            for study in ABLATIONS
+        )
+        assert main(["ablations", "--duration", "20"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(SystemExit):
